@@ -5,8 +5,7 @@ from .construct import (check_column_relation, check_diagonal_relation,
                         construct_l_array)
 from .errors import (BudgetError, DimensionError, DomainError, GridParseError,
                      IncompleteSearchError)
-from .grid import (Coord, DigitGrid, FillingLedger, LFilling, coord_of,
-                   extract_l, flat_of, relabel, translate)
+from .grid import DigitGrid, relabel, translate
 from .search import (SearchConfig, SearchReport, brute_filter, canonicalize,
                      enumerate_l_arrays, orbit_count)
 from .sequences import (DeBruijnGraph, build_graph, count_best, count_brute,
@@ -15,13 +14,12 @@ from .sequences import (DeBruijnGraph, build_graph, count_best, count_brute,
 from .verify import VerifyReport, verify_l_array, verify_sequence, verify_torus
 
 __all__ = [
-    "BudgetError", "Coord", "DeBruijnGraph", "DigitGrid", "DimensionError",
-    "DomainError", "FillingLedger", "GridParseError", "IncompleteSearchError",
-    "LFilling", "SearchConfig", "SearchReport", "VerifyReport",
-    "brute_filter", "build_graph", "canonicalize", "check_column_relation",
-    "check_diagonal_relation", "construct_l_array", "coord_of", "count_best",
-    "count_brute", "count_formula", "enumerate_l_arrays", "extract_l",
-    "flat_of", "format_word", "generate_sequence", "orbit_count",
+    "BudgetError", "DeBruijnGraph", "DigitGrid", "DimensionError",
+    "DomainError", "GridParseError", "IncompleteSearchError", "SearchConfig",
+    "SearchReport", "VerifyReport", "brute_filter", "build_graph",
+    "canonicalize", "check_column_relation", "check_diagonal_relation",
+    "construct_l_array", "count_best", "count_brute", "count_formula",
+    "enumerate_l_arrays", "format_word", "generate_sequence", "orbit_count",
     "parse_word", "relabel", "translate", "verify_l_array", "verify_sequence",
     "verify_torus",
 ]

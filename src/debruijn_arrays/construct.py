@@ -13,7 +13,7 @@ are exposed here as checkable relations on a constructed grid:
 from __future__ import annotations
 
 from .errors import DomainError
-from .grid import DigitGrid, coord_of
+from .grid import DigitGrid
 
 
 def construct_l_array(k: int) -> DigitGrid:
@@ -31,7 +31,7 @@ def check_column_relation(g: DigitGrid) -> bool:
     for r in range(k):
         below = (r + 1) % k
         for j in range(k2):
-            _, c = coord_of(j, k)
+            c = j % k
             if (g.rows[below][j] - g.rows[r][j]) % k != c:
                 return False
     return True
@@ -43,7 +43,7 @@ def check_diagonal_relation(g: DigitGrid) -> bool:
     for r in range(k):
         below = (r + 1) % k
         for j in range(k2):
-            s, c = coord_of(j, k)
+            s, c = divmod(j, k)
             d = g.rows[below][(j + 1) % k2]
             if c == k - 1:
                 expected = (s + 1) % k

@@ -2,102 +2,14 @@
 
 A grid has k rows and k^2 columns, with both pairs of opposite edges glued.
 A flat column index j splits as j = s*k + c: square s, column-in-square c.
-The 3-cell window of interest is an L: top cell a, bottom-left b,
-bottom-right d, anchored at the position of a.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, GridParseError
-
-
-def coord_of(j: int, k: int) -> tuple[int, int]:
-    """Split flat column j into (square, column-in-square): j = s*k + c."""
-    if k < 2:
-        raise DomainError(f"alphabet size must be >= 2, got {k}")
-    if not 0 <= j < k * k:
-        raise DomainError(f"flat column {j} out of range for k={k}")
-    return divmod(j, k)
-
-
-def flat_of(s: int, c: int, k: int) -> int:
-    """Inverse of coord_of: the flat column index s*k + c."""
-    if k < 2:
-        raise DomainError(f"alphabet size must be >= 2, got {k}")
-    if not (0 <= s < k and 0 <= c < k):
-        raise DomainError(f"square/column ({s}, {c}) out of range for k={k}")
-    return s * k + c
-
-
-@dataclass(frozen=True)
-class Coord:
-    """Row, square, column-in-square triple naming one cell."""
-
-    r: int
-    s: int
-    c: int
-
-    def validate(self, k: int) -> "Coord":
-        for name, v in (("r", self.r), ("s", self.s), ("c", self.c)):
-            if not 0 <= v < k:
-                raise DomainError(f"coordinate {name}={v} out of range for k={k}")
-        return self
-
-    def flat(self, k: int) -> int:
-        """Flat column index of this cell."""
-        return flat_of(self.s, self.c, k)
-
-
-@dataclass(frozen=True)
-class LFilling:
-    """The three digits of an L window: a on top, b below it, d to b's right."""
-
-    a: int
-    b: int
-    d: int
-
-    def encode(self, k: int) -> int:
-        """Pack into a*k^2 + b*k + d, a unique index in 0..k^3-1."""
-        return (self.a * k + self.b) * k + self.d
-
-    @classmethod
-    def decode(cls, code: int, k: int) -> "LFilling":
-        ab, d = divmod(code, k)
-        a, b = divmod(ab, k)
-        return cls(a, b, d)
-
-    def astuple(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.d)
-
-
-class FillingLedger:
-    """Occurrence counts over all k^3 possible L fillings."""
-
-    def __init__(self, k: int):
-        self.k = k
-        self.counts = [0] * (k ** 3)
-
-    def record(self, filling: LFilling) -> None:
-        self.counts[filling.encode(self.k)] += 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def is_perfect(self) -> bool:
-        """True iff every filling occurred exactly once."""
-        return all(c == 1 for c in self.counts)
-
-    def missing(self) -> list[LFilling]:
-        return [LFilling.decode(i, self.k) for i, c in enumerate(self.counts) if c == 0]
-
-    def duplicated(self) -> list[tuple[LFilling, int]]:
-        return [(LFilling.decode(i, self.k), c)
-                for i, c in enumerate(self.counts) if c >= 2]
 
 
 class DigitGrid:
@@ -151,12 +63,6 @@ class DigitGrid:
         if not 0 <= j < self.k * self.k:
             raise DomainError(f"flat column {j} out of range for k={self.k}")
         return self.rows[r][j]
-
-    def anchors(self) -> Iterator[tuple[int, int]]:
-        """All k*k^2 window anchor positions (row, flat column)."""
-        for r in range(self.k):
-            for j in range(self.k * self.k):
-                yield r, j
 
     # -- serialization ------------------------------------------------------
 
@@ -234,20 +140,6 @@ def parse_grid_json(text: str) -> tuple[int, list[list[int]]]:
             or not all(isinstance(row, list) for row in rows)):
         raise GridParseError('"rows" must be an array of arrays')
     return k, [list(row) for row in rows]
-
-
-def extract_l(g: DigitGrid, r: int, j: int) -> LFilling:
-    """The L filling anchored at (r, j): a = cell above, b below, d right of b.
-
-    Rows wrap mod k and flat columns wrap mod k^2 (the torus gluing).
-    """
-    k, k2 = g.k, g.k * g.k
-    if not 0 <= r < k:
-        raise DomainError(f"row {r} out of range for k={k}")
-    if not 0 <= j < k2:
-        raise DomainError(f"flat column {j} out of range for k={k}")
-    below = (r + 1) % k
-    return LFilling(g.rows[r][j], g.rows[below][j], g.rows[below][(j + 1) % k2])
 
 
 def translate(g: DigitGrid, dr: int, dj: int) -> DigitGrid:

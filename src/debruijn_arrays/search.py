@@ -31,7 +31,7 @@ from typing import Iterable, Optional
 
 from .construct import construct_l_array
 from .errors import BudgetError, DomainError, IncompleteSearchError
-from .grid import DigitGrid, relabel, translate
+from .grid import DigitGrid
 from .verify import verify_l_array
 
 SYMMETRIES = ("none", "translations", "translations+relabel")
@@ -89,11 +89,6 @@ def _completion_plan(k: int) -> list[list[tuple[int, int, int]]]:
     return plan
 
 
-# Cells forced to 0 in canonical mode: the anchor cells of the (0,0,0) L.
-def _pinned_cells(k: int) -> tuple[int, int, int]:
-    return (0, k * k, k * k + 1)
-
-
 def _guide_target(k: int) -> tuple[int, ...]:
     """The closed-form construction, mapped into search normal form.
 
@@ -120,16 +115,20 @@ def _search_shard(k: int,
                   deadline: Optional[float],
                   canonical: bool = False,
                   target: Optional[tuple[int, ...]] = None,
+                  shared: int = 0,
                   ) -> tuple[list[tuple[int, ...]], int, bool]:
     """Exhaust one shard (cells 0..len(prefix)-1 fixed).
 
     Returns (solutions as flat digit tuples, nodes visited, finished);
-    finished is False when a limit or deadline cut the shard short.
+    finished is False when a limit or deadline cut the shard short.  The
+    first `shared` prefix cells are not counted as nodes: another shard
+    with the same leading cells has counted them already.
     """
     k2 = k * k
     ncells = k * k2
     plan = _completion_plan(k)
-    pinned = set(_pinned_cells(k)) if canonical else ()
+    # cells forced to 0 in canonical mode: the cells of the (0,0,0) L
+    pinned = {0, k2, k2 + 1} if canonical else ()
     vals = [0] * ncells
     used = bytearray(k ** 3)
     # Each horizontal pair value (b, d) combines with exactly k distinct top
@@ -149,7 +148,8 @@ def _search_shard(k: int,
             return [], nodes, True
         maxused = max(maxused, digit)
         vals[p] = digit
-        nodes += 1
+        if p >= shared:
+            nodes += 1
         if 0 < p < k2:
             pc = vals[p - 1] * k + digit
             if rowpairs[pc] >= k:
@@ -307,6 +307,13 @@ def _translation_canonical(flat: tuple[int, ...],
     return min(tuple(flat[i] for i in mp) for mp in maps)
 
 
+def _relabel_canonical(flat: tuple[int, ...], maps: list[tuple[int, ...]],
+                       perms: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Least image of flat under every translation and digit relabeling."""
+    return min(_translation_canonical(tuple(perm[v] for v in flat), maps)
+               for perm in perms)
+
+
 def _orbit_reps(k: int, flats: Iterable[tuple[int, ...]],
                 symmetry: str) -> list[tuple[int, ...]]:
     """Distinct canonical orbit representatives, as sorted flat tuples.
@@ -323,10 +330,13 @@ def _orbit_reps(k: int, flats: Iterable[tuple[int, ...]],
     if symmetry == "translations":
         return sorted(tcanon)
     perms = list(permutations(range(k)))
-    full = {min(_translation_canonical(tuple(perm[v] for v in f), maps)
-                for perm in perms)
-            for f in tcanon}
-    return sorted(full)
+    return sorted({_relabel_canonical(f, maps, perms) for f in tcanon})
+
+
+def _to_grid(k: int, flat: tuple[int, ...]) -> DigitGrid:
+    k2 = k * k
+    return DigitGrid._trusted(k, tuple(flat[r * k2:(r + 1) * k2]
+                                       for r in range(k)))
 
 
 def _shard_prefixes(k: int, workers: int, canonical: bool) -> list[tuple[int, ...]]:
@@ -362,10 +372,17 @@ def _run_shards(k: int, prefixes, limit, deadline, canonical, workers,
         # remaining shard order - and hence the merged output - is unchanged)
         prefixes = sorted(prefixes,
                           key=lambda pre: pre != tuple(target[:len(pre)]))
+    # count each prefix-tree node once: a shard skips the leading cells it
+    # shares with a shard earlier in the list
+    seen = {()}
+    shared = []
+    for pre in prefixes:
+        shared.append(max(i for i in range(len(pre) + 1) if pre[:i] in seen))
+        seen.update(pre[:i] for i in range(1, len(pre) + 1))
     if len(prefixes) == 1 or workers <= 1:
-        for pre in prefixes:
+        for pre, sh in zip(prefixes, shared):
             s, n, done = _search_shard(k, pre, limit, deadline, canonical,
-                                       target)
+                                       target, sh)
             sols.extend(s)
             nodes += n
             finished = finished and done
@@ -374,8 +391,8 @@ def _run_shards(k: int, prefixes, limit, deadline, canonical, workers,
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_search_shard, k, pre, limit, deadline,
-                                   canonical, target)
-                       for pre in prefixes]
+                                   canonical, target, sh)
+                       for pre, sh in zip(prefixes, shared)]
             for fut in futures:
                 s, n, done = fut.result()
                 nodes += n
@@ -404,7 +421,6 @@ def enumerate_l_arrays(cfg: SearchConfig,
 
     raw_count: int
     out_flats: list[tuple[int, ...]]
-    orbits: Optional[int]
     if use_canonical:
         canon_flats, nodes, complete = _run_shards(
             k, prefixes, None, deadline, True, workers,
@@ -414,10 +430,10 @@ def enumerate_l_arrays(cfg: SearchConfig,
         raw_count = len(canon_flats) * len(maps) * len(perms)
         if cfg.symmetry == "none":
             out_flats = []
-            for flat in canon_flats:
-                out_flats.extend(_expand_orbit(k, flat, maps, perms))
-            out_flats.sort()
-            orbits = raw_count if complete else None
+            if not cfg.count_only:
+                for flat in canon_flats:
+                    out_flats.extend(_expand_orbit(k, flat, maps, perms))
+                out_flats.sort()
         else:
             seeds = canon_flats
             if cfg.symmetry == "translations":
@@ -425,7 +441,6 @@ def enumerate_l_arrays(cfg: SearchConfig,
                 seeds = [tuple(perm[v] for v in f)
                          for f in canon_flats for perm in perms]
             out_flats = _orbit_reps(k, seeds, cfg.symmetry)
-            orbits = len(out_flats) if complete else None
     else:
         raw, nodes, finished = _run_shards(
             k, prefixes, cfg.limit, deadline, False, workers)
@@ -434,22 +449,16 @@ def enumerate_l_arrays(cfg: SearchConfig,
             raw = raw[:cfg.limit]
         complete = finished and len(raw) < cfg.limit
         raw_count = len(raw)
-        if cfg.symmetry == "none":
-            out_flats = raw
-            orbits = raw_count if complete else None
-        else:
-            out_flats = _orbit_reps(k, raw, cfg.symmetry)
-            orbits = len(out_flats) if complete else None
+        out_flats = (raw if cfg.symmetry == "none"
+                     else _orbit_reps(k, raw, cfg.symmetry))
+    orbits = None
+    if complete:
+        orbits = raw_count if cfg.symmetry == "none" else len(out_flats)
 
-    k2 = k * k
-    grids = [DigitGrid._trusted(k, tuple(flat[r * k2:(r + 1) * k2]
-                                         for r in range(k)))
-             for flat in out_flats]
+    grids = [] if cfg.count_only else [_to_grid(k, f) for f in out_flats]
     report = SearchReport(raw_count=raw_count, orbit_count=orbits,
                           nodes_visited=nodes, complete=complete,
                           elapsed=time.monotonic() - start)
-    if cfg.count_only:
-        return [], report
     return grids, report
 
 
@@ -475,37 +484,20 @@ def brute_filter(k: int) -> tuple[list[DigitGrid], SearchReport]:
     return solutions, report
 
 
-def symmetry_elements(k: int, symmetry: str) -> Iterable:
-    """The transform group as (dr, dj, perm) triples; perm=None means identity."""
-    k2 = k * k
-    if symmetry == "none":
-        yield (0, 0, None)
-        return
-    perms: list = [None]
-    if symmetry == "translations+relabel":
-        perms = list(permutations(range(k)))
-    elif symmetry != "translations":
-        raise DomainError(f"unknown symmetry {symmetry!r}")
-    for dr in range(k):
-        for dj in range(k2):
-            for perm in perms:
-                yield (dr, dj, perm)
-
-
-def apply_symmetry(g: DigitGrid, element) -> DigitGrid:
-    dr, dj, perm = element
-    out = translate(g, dr, dj)
-    if perm is not None:
-        out = relabel(out, perm)
-    return out
-
-
 def canonicalize(g: DigitGrid, symmetry: str) -> DigitGrid:
     """Lexicographically least grid in the orbit of g under the chosen group."""
     if symmetry == "none":
         return g
-    best = min(apply_symmetry(g, e).rows for e in symmetry_elements(g.k, symmetry))
-    return DigitGrid(g.k, best)
+    if symmetry not in SYMMETRIES:
+        raise DomainError(f"unknown symmetry {symmetry!r}")
+    k = g.k
+    flat = tuple(v for row in g.rows for v in row)
+    maps = _translation_maps(k)
+    if symmetry == "translations":
+        best = _translation_canonical(flat, maps)
+    else:
+        best = _relabel_canonical(flat, maps, list(permutations(range(k))))
+    return _to_grid(k, best)
 
 
 def orbit_count(solutions: Iterable[DigitGrid], symmetry: str,

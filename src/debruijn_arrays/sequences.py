@@ -62,6 +62,10 @@ def generate_sequence(k: int, n: int, method: str = "euler") -> str:
     still unused, starting from the all-zero state.  Digits >= 10 are
     rendered space-separated; below that the word is a plain digit string.
     """
+    if k < 2:
+        raise DomainError(f"alphabet size must be >= 2, got {k}")
+    if n < 1:
+        raise DomainError(f"window length must be >= 1, got {n}")
     if method == "euler":
         digits = _euler_digits(k, n)
     elif method == "greedy":

@@ -1,22 +1,24 @@
 """Window-coverage verification for L-arrays, rectangular tori, and sequences.
 
-Each checker slides its window over every toroidal anchor, tallies the
-fillings, and reports exact defect evidence: which fillings are missing and
-which are duplicated.  A structurally malformed input raises; a well-formed
-grid that simply is not de Bruijn yields a report with valid=False.
+All three are one property: every filling of a window shape occurs exactly
+once among the toroidal windows of a grid.  One sliding-window check takes
+the shape as cell offsets (the L is a on top, b below it, d right of b; a
+sequence is a one-row torus) and reports exact defect evidence: which
+fillings are missing and which are duplicated, in lexicographic order.  A
+structurally malformed input raises; a well-formed grid that simply is not
+de Bruijn yields a report with valid=False.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from itertools import product
+from typing import Callable, Sequence, Union
 
 from .errors import DimensionError, DomainError
-from .grid import DigitGrid, FillingLedger, extract_l
+from .grid import DigitGrid
 
-Filling = tuple  # L fillings are 3-tuples, torus fillings m-tuples of n-tuples,
-                 # sequence fillings n-tuples
+_L_WINDOW = ((0, 0), (1, 0), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -37,17 +39,49 @@ class VerifyReport:
         }
 
 
+def _check_windows(cells: Sequence[int], R: int, C: int, k: int,
+                   offsets: Sequence[tuple[int, int]],
+                   shape: Callable[[tuple[int, ...]], tuple] = tuple,
+                   ) -> VerifyReport:
+    """Tally the window at every anchor of a row-major R x C toroidal grid.
+
+    The window anchored at (i, j) reads cell ((i + dr) % R, (j + dc) % C)
+    for each offset; it is counted under its digits read as a base-k code.
+    shape turns a filling's digit tuple into the form the report lists.
+    """
+    w = len(offsets)
+    # one rotated copy of the grid per offset, each digit pre-multiplied by
+    # its place value (a k-entry table, so no new int objects per cell)
+    shifted = []
+    for t, (dr, dc) in enumerate(offsets):
+        place = [d * k ** (w - 1 - t) for d in range(k)]
+        dc %= C
+        rotated: list[int] = []
+        for i in range(R):
+            r = (i + dr) % R
+            row = cells[r * C:(r + 1) * C]
+            rotated.extend(map(place.__getitem__, row[dc:] + row[:dc]))
+        shifted.append(rotated)
+    counts = [0] * k ** w
+    for code in map(sum, zip(*shifted)):
+        counts[code] += 1
+
+    missing, duplicated = [], []
+    # product() yields the fillings in code order
+    for digits, n in zip(product(range(k), repeat=w), counts):
+        if n == 0:
+            missing.append(shape(digits))
+        elif n >= 2:
+            duplicated.append((shape(digits), n))
+    return VerifyReport(valid=not missing and not duplicated,
+                        missing=missing, duplicated=duplicated,
+                        positions_checked=R * C)
+
+
 def verify_l_array(g: DigitGrid) -> VerifyReport:
     """Check that the k^3 L windows of g realize every filling exactly once."""
-    ledger = FillingLedger(g.k)
-    for r, j in g.anchors():
-        ledger.record(extract_l(g, r, j))
-    return VerifyReport(
-        valid=ledger.is_perfect(),
-        missing=[f.astuple() for f in ledger.missing()],
-        duplicated=[(f.astuple(), c) for f, c in ledger.duplicated()],
-        positions_checked=ledger.total,
-    )
+    cells = [v for row in g.rows for v in row]
+    return _check_windows(cells, g.k, g.k * g.k, g.k, _L_WINDOW)
 
 
 def verify_torus(rows: Sequence[Sequence[int]], k: int, m: int, n: int) -> VerifyReport:
@@ -76,25 +110,10 @@ def verify_torus(rows: Sequence[Sequence[int]], k: int, m: int, n: int) -> Verif
     if R * C != total:
         raise DimensionError(
             f"{R}x{C} grid has {R * C} cells; a (k={k}, {m}x{n}) torus needs {total}")
-
-    seen: Counter = Counter()
-    for i in range(R):
-        for j in range(C):
-            window = tuple(tuple(grid[(i + di) % R][(j + dj) % C]
-                                 for dj in range(n))
-                           for di in range(m))
-            seen[window] += 1
-    missing = [w for w in _all_windows(k, m, n) if w not in seen]
-    duplicated = sorted((w, c) for w, c in seen.items() if c >= 2)
-    return VerifyReport(valid=not missing and not duplicated,
-                        missing=missing, duplicated=duplicated,
-                        positions_checked=R * C)
-
-
-def _all_windows(k: int, m: int, n: int):
-    from itertools import product
-    for flat in product(range(k), repeat=m * n):
-        yield tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(m))
+    cells = [v for row in grid for v in row]
+    offsets = [(di, dj) for di in range(m) for dj in range(n)]
+    return _check_windows(cells, R, C, k, offsets,
+                          lambda f: tuple(f[i * n:(i + 1) * n] for i in range(m)))
 
 
 def verify_sequence(word: Union[str, Sequence[int]], k: int, n: int) -> VerifyReport:
@@ -111,13 +130,4 @@ def verify_sequence(word: Union[str, Sequence[int]], k: int, n: int) -> VerifyRe
     if len(digits) != total:
         raise DimensionError(
             f"word length {len(digits)} != k^n = {total} for (k={k}, n={n})")
-
-    seen: Counter = Counter()
-    for i in range(total):
-        seen[tuple(digits[(i + t) % total] for t in range(n))] += 1
-    from itertools import product
-    missing = [w for w in product(range(k), repeat=n) if w not in seen]
-    duplicated = sorted((w, c) for w, c in seen.items() if c >= 2)
-    return VerifyReport(valid=not missing and not duplicated,
-                        missing=missing, duplicated=duplicated,
-                        positions_checked=total)
+    return _check_windows(digits, 1, total, k, [(0, t) for t in range(n)])

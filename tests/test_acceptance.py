@@ -118,6 +118,7 @@ def test_criterion_06_k3_enumeration_complete_and_deterministic():
     assert rep2.complete
     assert sols2 == sols1
     assert rep2.raw_count == rep1.raw_count
+    assert rep2.nodes_visited == rep1.nodes_visited
 
 
 def test_criterion_07_sequence_counts_agree():

@@ -100,6 +100,13 @@ class TestSequenceAndCount:
                          "--shape", "sequence", "3", str(path))
         assert code == 0
 
+    @pytest.mark.parametrize("k,n", [("1", "3"), ("2", "0")])
+    def test_sequence_greedy_domain_exit_2(self, capsys, k, n):
+        code, out, err = run(capsys, "sequence", "--k", k, "--n", n,
+                             "--method", "greedy")
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
     @pytest.mark.parametrize("method,k,n,expected", [
         ("formula", "2", "3", "2"),
         ("brute", "3", "2", "24"),

@@ -2,9 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from debruijn_arrays.errors import DomainError, GridParseError
-from debruijn_arrays.grid import (Coord, DigitGrid, FillingLedger, LFilling,
-                                  coord_of, extract_l, flat_of, relabel,
-                                  translate)
+from debruijn_arrays.grid import DigitGrid, relabel, translate
 from debruijn_arrays.construct import construct_l_array
 from debruijn_arrays.verify import verify_l_array
 
@@ -15,42 +13,6 @@ def grids(min_k=2, max_k=4):
             st.lists(st.integers(0, k - 1), min_size=k * k, max_size=k * k),
             min_size=k, max_size=k,
         ).map(lambda rows: DigitGrid(k, rows)))
-
-
-class TestCoordinates:
-    def test_paper_positions(self):
-        # figure positions in the 3x9 array: (j=6, k=3) -> square 2 col 0,
-        # (j=8, k=3) -> square 2 col 2
-        assert coord_of(6, 3) == (2, 0)
-        assert coord_of(8, 3) == (2, 2)
-        assert coord_of(0, 5) == (0, 0)
-
-    def test_flat_of(self):
-        assert flat_of(1, 0, 3) == 3
-        assert flat_of(0, 0, 7) == 0
-
-    @pytest.mark.parametrize("k", range(2, 9))
-    def test_roundtrip_exhaustive(self, k):
-        for j in range(k * k):
-            s, c = coord_of(j, k)
-            assert 0 <= s < k and 0 <= c < k
-            assert flat_of(s, c, k) == j
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            coord_of(9, 3)
-        with pytest.raises(DomainError):
-            coord_of(-1, 3)
-        with pytest.raises(DomainError):
-            coord_of(0, 1)
-        with pytest.raises(DomainError):
-            flat_of(3, 0, 3)
-
-    def test_coord_validate(self):
-        Coord(1, 2, 0).validate(3)
-        with pytest.raises(DomainError):
-            Coord(3, 0, 0).validate(3)
-        assert Coord(1, 2, 1).flat(3) == 7
 
 
 class TestDigitGrid:
@@ -83,65 +45,6 @@ class TestDigitGrid:
             g.cell(2, 0)
         with pytest.raises(DomainError):
             g.cell(0, 4)
-
-
-class TestExtractL:
-    # the 2-de Bruijn L-array fixture with rows 0010 / 0111
-    FIX = DigitGrid(2, [[0, 0, 1, 0], [0, 1, 1, 1]])
-
-    def test_figure_read(self):
-        assert extract_l(self.FIX, 0, 0) == LFilling(0, 0, 1)
-
-    def test_double_wrap(self):
-        # r=1, j=3 wraps both ways: a=row1 col3, b=row0 col3, d=row0 col0
-        assert extract_l(self.FIX, 1, 3) == LFilling(1, 0, 0)
-
-    def test_all_zeros(self):
-        z = DigitGrid(2, [[0] * 4, [0] * 4])
-        for r in range(2):
-            for j in range(4):
-                assert extract_l(z, r, j) == LFilling(0, 0, 0)
-
-    def test_extreme_anchor_cells(self):
-        # anchor (k-1, k^2-1) must read cells (k-1,k^2-1), (0,k^2-1), (0,0)
-        k = 3
-        rows = [[(r * 31 + j * 7) % k for j in range(k * k)] for r in range(k)]
-        g = DigitGrid(k, rows)
-        f = extract_l(g, k - 1, k * k - 1)
-        assert f == LFilling(rows[k - 1][k * k - 1], rows[0][k * k - 1], rows[0][0])
-
-    def test_bounds(self):
-        with pytest.raises(DomainError):
-            extract_l(self.FIX, 2, 0)
-        with pytest.raises(DomainError):
-            extract_l(self.FIX, 0, 4)
-
-
-class TestLFilling:
-    @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_encode_decode_bijection(self, k):
-        seen = set()
-        for a in range(k):
-            for b in range(k):
-                for d in range(k):
-                    f = LFilling(a, b, d)
-                    code = f.encode(k)
-                    assert 0 <= code < k ** 3
-                    assert LFilling.decode(code, k) == f
-                    seen.add(code)
-        assert len(seen) == k ** 3
-
-
-class TestFillingLedger:
-    def test_counts(self):
-        led = FillingLedger(2)
-        led.record(LFilling(0, 0, 0))
-        led.record(LFilling(0, 0, 0))
-        led.record(LFilling(1, 1, 1))
-        assert led.total == 3
-        assert not led.is_perfect()
-        assert (LFilling(0, 0, 0), 2) in led.duplicated()
-        assert len(led.missing()) == 6
 
 
 class TestTransforms:

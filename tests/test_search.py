@@ -1,13 +1,14 @@
 import random
+from itertools import permutations
 
 import pytest
 
+from debruijn_arrays import search
 from debruijn_arrays.errors import (BudgetError, DomainError,
                                     IncompleteSearchError)
-from debruijn_arrays.grid import DigitGrid
-from debruijn_arrays.search import (SearchConfig, apply_symmetry, brute_filter,
-                                    canonicalize, enumerate_l_arrays,
-                                    orbit_count, symmetry_elements)
+from debruijn_arrays.grid import DigitGrid, relabel, translate
+from debruijn_arrays.search import (SearchConfig, brute_filter, canonicalize,
+                                    enumerate_l_arrays, orbit_count)
 from debruijn_arrays.verify import verify_l_array
 
 PAPER_2A = DigitGrid(2, [[0, 0, 1, 0], [0, 1, 1, 1]])
@@ -33,6 +34,23 @@ K3_RAW = 198288
 K3_TRANSLATION_ORBITS = 7344
 K3_FULL_ORBITS = 1250
 K3_DIRECT_SHARD_000 = 5994
+
+
+def group_images(g, symmetry):
+    """Every image of g under the group, built with translate and relabel."""
+    k = g.k
+    if symmetry == "none":
+        return [g]
+    perms = [None]
+    if symmetry == "translations+relabel":
+        perms = list(permutations(range(k)))
+    images = []
+    for dr in range(k):
+        for dj in range(k * k):
+            moved = translate(g, dr, dj)
+            images.extend(moved if p is None else relabel(moved, p)
+                          for p in perms)
+    return images
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +155,7 @@ class TestSymmetry:
         rng = random.Random(0)
         base = canonicalize(g, "translations")
         for _ in range(10):
-            moved = apply_symmetry(g, (rng.randrange(2), rng.randrange(4), None))
+            moved = translate(g, rng.randrange(2), rng.randrange(4))
             assert canonicalize(moved, "translations") == base
 
     def test_canonicalize_none_is_identity(self):
@@ -154,12 +172,31 @@ class TestSymmetry:
     def test_closure_under_symmetry(self, k2_brute):
         sols, _ = k2_brute
         pool = set(sols)
-        elements = list(symmetry_elements(2, "translations+relabel"))
         rng = random.Random(42)
         for _ in range(100):
-            g = rng.choice(sols)
-            e = rng.choice(elements)
-            assert apply_symmetry(g, e) in pool
+            g = translate(rng.choice(sols), rng.randrange(2), rng.randrange(4))
+            assert relabel(g, rng.choice([(0, 1), (1, 0)])) in pool
+
+    @pytest.mark.parametrize("symmetry", ["none", "translations",
+                                          "translations+relabel"])
+    def test_canonicalize_is_least_group_image(self, k2_brute, symmetry):
+        # reference: the least image over the whole group, built grid by grid
+        rng = random.Random(5)
+        samples = list(k2_brute[0])
+        samples += [DigitGrid(2, [[rng.randrange(2) for _ in range(4)]
+                                  for _ in range(2)]) for _ in range(10)]
+        for g in (PAPER_3A, PAPER_3B):
+            samples.append(g)
+            rows = [list(row) for row in g.rows]
+            rows[rng.randrange(3)][rng.randrange(9)] += 1
+            samples.append(DigitGrid(3, [[v % 3 for v in row] for row in rows]))
+        for g in samples:
+            expected = min(group_images(g, symmetry), key=lambda h: h.rows)
+            assert canonicalize(g, symmetry) == expected
+
+    def test_canonicalize_unknown_symmetry(self):
+        with pytest.raises(DomainError):
+            canonicalize(PAPER_2A, "mirror")
 
     def test_quotient_run_matches_post_hoc(self, k2_enumerated):
         raw, _ = k2_enumerated
@@ -173,8 +210,6 @@ class TestSymmetry:
 
 class TestDeterminismAndSharding:
     def test_single_vs_multi_worker(self, k2_enumerated):
-        # the contract is identical *output* for any worker count; node
-        # tallies differ because shards re-claim their prefix cells
         base, base_report = k2_enumerated
         sols, report = enumerate_l_arrays(SearchConfig(k=2), workers=2)
         assert sols == base
@@ -188,10 +223,28 @@ class TestDeterminismAndSharding:
         assert a[1].raw_count == b[1].raw_count
         assert a[1].nodes_visited == b[1].nodes_visited
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_node_count_independent_of_workers(self, k2_enumerated, workers):
+        _, report = enumerate_l_arrays(SearchConfig(k=2), workers=workers)
+        assert report.nodes_visited == k2_enumerated[1].nodes_visited
+
     def test_count_only(self):
         sols, report = enumerate_l_arrays(SearchConfig(k=2, count_only=True))
         assert sols == []
         assert report.raw_count == K2_RAW
+
+    @pytest.mark.parametrize("symmetry", ["none", "translations"])
+    def test_count_only_skips_expansion_and_grids(self, monkeypatch, symmetry):
+        def refuse(*args, **kwargs):
+            raise AssertionError("count_only must not build solutions")
+        monkeypatch.setattr(search, "_expand_orbit", refuse)
+        monkeypatch.setattr(DigitGrid, "_trusted", classmethod(refuse))
+        sols, report = enumerate_l_arrays(
+            SearchConfig(k=2, symmetry=symmetry, count_only=True))
+        assert sols == []
+        assert report.raw_count == K2_RAW
+        assert report.orbit_count == (K2_RAW if symmetry == "none"
+                                      else K2_TRANSLATION_ORBITS)
 
 
 @pytest.fixture(scope="module")

@@ -72,6 +72,12 @@ class TestGenerate:
         word = generate_sequence(2, 3, "greedy")
         assert word.startswith("11")
 
+    @pytest.mark.parametrize("method", ["euler", "greedy"])
+    @pytest.mark.parametrize("k,n", [(1, 3), (0, 2), (2, 0), (3, -1)])
+    def test_domain(self, k, n, method):
+        with pytest.raises(DomainError):
+            generate_sequence(k, n, method)
+
     def test_unknown_method(self):
         with pytest.raises(DomainError):
             generate_sequence(2, 3, "magic")

@@ -36,6 +36,27 @@ class TestVerifyLArray:
         assert report.duplicated == [((0, 0, 0), 8)]
         assert len(report.missing) == 7
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_all_zeros_missing_in_code_order(self, k):
+        report = verify_l_array(DigitGrid(k, [[0] * (k * k)] * k))
+        assert report.missing == list(product(range(k), repeat=3))[1:]
+        assert report.duplicated == [((0, 0, 0), k ** 3)]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_window_geometry(self, k):
+        # one nonzero cell at (0, 0) is the a of the L anchored there, the b
+        # of the L anchored at (k-1, 0), and the d of the L anchored at
+        # (k-1, k^2-1), whose window wraps both rows and columns
+        for v in range(1, k):
+            rows = [[0] * (k * k) for _ in range(k)]
+            rows[0][0] = v
+            report = verify_l_array(DigitGrid(k, rows))
+            once = {(v, 0, 0), (0, v, 0), (0, 0, v)}
+            assert report.duplicated == [((0, 0, 0), k ** 3 - 3)]
+            assert report.missing == [f for f in product(range(k), repeat=3)
+                                      if f not in once and f != (0, 0, 0)]
+            assert report.positions_checked == k ** 3
+
     def test_double_count_invariant(self):
         # ledger sum equals k^3 and a valid grid has max count 1
         report = verify_l_array(L_ARRAY_3A)
