@@ -1,15 +1,16 @@
 """Exhaustively enumerating k-de Bruijn L-arrays, with symmetry quotients.
 
-The search assigns grid cells in row-major order and prunes the moment any
-L filling repeats.  Complete runs are accelerated by searching only normal
-forms under the free translation and digit-relabeling actions, then
-expanding each normal form back to its full orbit, so the output is exactly
-the set a naive search would produce.
+The search assigns grid cells one at a time and prunes the moment any L
+filling repeats.  Complete runs are accelerated by searching only normal
+forms under the free translation and digit-relabeling actions, column by
+column, then expanding each normal form back to its full orbit, so the
+output is exactly the set a naive search would produce.
 
 For k=2 the result is checked against a literal filter over all 256 grids.
-For k=3 a complete run takes a few minutes, so this demo caps it with
---limit-style truncation; for k=4 it shows a time-budgeted partial run that
-still emits verified solutions plus an honest complete=False report.
+For k=3 this demo shows the first solutions of the row-major lexicographic
+stream that a solution limit selects; for k=4 it shows a time-budgeted
+partial run that still emits verified solutions plus an honest
+complete=False report.
 """
 
 import json

@@ -4,13 +4,16 @@ Subcommands: construct, verify, sequence, count, enumerate.
 
 Exit codes: 0 ok/valid, 1 property-invalid, 2 usage error or malformed
 input, 3 search truncated by limit/budget, 4 internal inconsistency
-(count methods disagree).
+(count methods disagree), 141 stdout closed by its reader (128 + SIGPIPE,
+as a shell reports a writer killed by a closed pipe).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 from .construct import construct_l_array
@@ -26,6 +29,7 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_TRUNCATED = 3
 EXIT_INCONSISTENT = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,21 +83,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    commands = {"construct": _run_construct, "verify": _run_verify,
+                "sequence": _run_sequence, "count": _run_count,
+                "enumerate": _run_enumerate}
     try:
-        if args.command == "construct":
-            return _run_construct(args)
-        if args.command == "verify":
-            return _run_verify(args)
-        if args.command == "sequence":
-            return _run_sequence(args)
-        if args.command == "count":
-            return _run_count(args)
-        if args.command == "enumerate":
-            return _run_enumerate(args)
+        code = commands[args.command](args)
+        sys.stdout.flush()
+        return code
     except (DomainError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError("unreachable")
+    except BrokenPipeError:
+        # The reader closed stdout (e.g. `| head`).  Point stdout at devnull
+        # so the interpreter's final flush cannot raise again; see "Note on
+        # SIGPIPE" in the signal module's documentation.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 def _run_construct(args) -> int:
@@ -195,21 +201,25 @@ def _run_enumerate(args) -> int:
     cfg = SearchConfig(k=args.k, symmetry=args.symmetry, limit=args.limit,
                        time_budget=args.time_budget)
     workers = args.workers if args.workers is not None else default_workers()
-    solutions, report = enumerate_l_arrays(cfg, workers=workers)
-    if args.format == "json":
-        print(json.dumps([{"k": g.k, "rows": [list(r) for r in g.rows]}
-                          for g in solutions], separators=(", ", ": ")))
-    else:
-        for i, g in enumerate(solutions):
-            if i:
-                print()
-            sys.stdout.write(g.to_text())
-    report_json = json.dumps(report.to_json_dict(), separators=(", ", ": "))
-    if args.report_file:
-        with open(args.report_file, "w", encoding="utf-8") as fh:
-            fh.write(report_json + "\n")
-    else:
-        print(report_json, file=sys.stderr)
+    # open the report file before searching, so a bad path costs no search
+    try:
+        report_out = (open(args.report_file, "w", encoding="utf-8")
+                      if args.report_file else contextlib.nullcontext(sys.stderr))
+    except OSError as exc:
+        print(f"error: cannot write report file: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    with report_out as report_fh:
+        solutions, report = enumerate_l_arrays(cfg, workers=workers)
+        if args.format == "json":
+            print(json.dumps([{"k": g.k, "rows": [list(r) for r in g.rows]}
+                              for g in solutions], separators=(", ", ": ")))
+        else:
+            for i, g in enumerate(solutions):
+                if i:
+                    print()
+                sys.stdout.write(g.to_text())
+        print(json.dumps(report.to_json_dict(), separators=(", ", ": ")),
+              file=report_fh)
     return EXIT_OK if report.complete else EXIT_TRUNCATED
 
 

@@ -1,23 +1,32 @@
 """Exhaustive enumeration of k-de Bruijn L-arrays by pruned backtracking.
 
-Cells are assigned in row-major order.  The moment the last-assigned cell of
-an L window is placed, the window's filling is claimed in a k^3-entry ledger;
-a second claim of the same filling prunes the branch on the spot.  Branching
-digits ascend, so the direct search streams solutions in lexicographic order
-of their serialized form.
+One iterative kernel assigns cells in a given order.  For each position it
+knows the ledger entries that close there: the L windows whose last cell it
+is, each filling claimed at most once, and the adjacent horizontal and
+vertical pairs, each pair value claimed at most k times (every pair value
+combines with exactly k third digits, so a valid array holds it exactly k
+times).  A clash prunes the branch on the spot.
 
-Complete enumerations additionally exploit two free group actions on the
-solution set.  Translations act freely (a translation-invariant grid would
-repeat a filling) and so do digit relabelings (every digit occurs in a valid
-array), and the all-zeros L filling occurs at exactly one anchor.  Searching
-only normal forms - (0,0,0) pinned at anchor (0,0), nonzero digits first
-appearing in ascending order - and expanding each hit by all k*k^2
-translations and (k-1)! zero-fixing relabelings therefore recovers every raw
-solution exactly once, at roughly 1/(k^3 * (k-1)!) of the search cost.
+Complete enumerations exploit two free group actions on the solution set.
+Translations act freely (a translation-invariant grid would repeat a
+filling) and so do digit relabelings (every digit occurs in a valid array),
+and the all-zeros L filling occurs at exactly one anchor.  Searching only
+normal forms - (0,0,0) pinned at anchor (0,0), nonzero digits first
+appearing in ascending order along the columns - and expanding each hit by
+all k*k^2 translations and (k-1)! zero-fixing relabelings therefore recovers
+every raw solution exactly once, at roughly 1/(k^3 * (k-1)!) of the search
+cost.  Normal forms are searched in column-major order, where every cell
+from the second column on closes windows.  A truncated complete run emits
+whole orbits: after the deadline it stops at the next orbit boundary,
+having emitted at least one.
 
-The search can be sharded on assignments to a prefix of the first row; shards
-are independent and merged in prefix order, so the output is identical for
-any worker count.
+Runs bounded by a solution limit search every grid in row-major order with
+ascending digits, so they stream solutions in lexicographic order of their
+serialized form, as a prefix of the complete run's output.
+
+The normal-form search can be sharded on column-major prefixes; shards are
+independent and merged in prefix order, so the output is identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations, product
+from math import factorial, isfinite
 from typing import Iterable, Optional
 
 from .construct import construct_l_array
@@ -35,6 +45,10 @@ from .grid import DigitGrid
 from .verify import verify_l_array
 
 SYMMETRIES = ("none", "translations", "translations+relabel")
+# Cells in one expanded orbit (k^3 * (k-1)! grids of k^3 cells) that a run
+# emitting full grids may build: admits k <= 7 (84.7 M), refuses k >= 8
+# (1.32 G), which no memory of a small machine holds.
+MAX_ORBIT_CELLS = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -52,8 +66,9 @@ class SearchConfig:
             raise DomainError(f"unknown symmetry {self.symmetry!r}")
         if self.limit is not None and self.limit <= 0:
             raise DomainError("limit must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
-            raise DomainError("time budget must be positive")
+        if self.time_budget is not None and not (
+                isfinite(self.time_budget) and self.time_budget > 0):
+            raise DomainError("time budget must be a positive finite number")
 
 
 @dataclass
@@ -74,39 +89,67 @@ class SearchReport:
         }
 
 
-def _completion_plan(k: int) -> list[list[tuple[int, int, int]]]:
-    """For each flat cell index p (row-major), the L windows whose three cells
-    all become known once p is assigned, as (a, b, d) flat cell indices."""
-    k2 = k * k
-    ncells = k * k2
-    plan: list[list[tuple[int, int, int]]] = [[] for _ in range(ncells)]
+def _pinned(k: int) -> tuple[int, ...]:
+    """Column-major positions of the (0,0,0) L at anchor (0,0): cells (0,0),
+    (1,0) and (1,1), which every normal form pins to 0."""
+    return (0, 1, k + 1)
+
+
+def _closing_checks(k: int, order: list[int]) -> list[list[tuple[int, ...]]]:
+    """For each position of `order` (flat cell indices), the ledger entries
+    that become known once that position is assigned.
+
+    Each entry (base, x, wx, y, wy, w) names the ledger slot
+    base + vals[x]*wx + vals[y]*wy + digit*w, where digit is the value of
+    the position's own cell and x, y are cells placed earlier.  The ledger
+    holds k^3 window slots with room 1, then k^2 horizontal-pair slots and
+    k^2 vertical-pair slots with room k each: every adjacent pair value
+    combines with exactly k third digits, so it occurs exactly k times.
+    """
+    k2, k3 = k * k, k ** 3
+    pos = [0] * len(order)
+    for i, cell in enumerate(order):
+        pos[cell] = i
+    checks: list[list[tuple[int, ...]]] = [[] for _ in order]
     for r in range(k):
         for j in range(k2):
             a = r * k2 + j
             b = ((r + 1) % k) * k2 + j
             d = ((r + 1) % k) * k2 + (j + 1) % k2
-            plan[max(a, b, d)].append((a, b, d))
-    return plan
+            right = r * k2 + (j + 1) % k2
+            for base, cells, weights in ((0, (a, b, d), (k2, k, 1)),
+                                         (k3, (a, right), (k, 1)),
+                                         (k3 + k2, (a, b), (k, 1))):
+                last = max(cells, key=pos.__getitem__)
+                known = [(c, w) for c, w in zip(cells, weights) if c != last]
+                if len(known) == 1:  # a pair: pad with a zero-weight term
+                    known.append((known[0][0], 0))
+                (x, wx), (y, wy) = known
+                checks[pos[last]].append(
+                    (base, x, wx, y, wy, weights[cells.index(last)]))
+    return checks
 
 
 def _guide_target(k: int) -> tuple[int, ...]:
-    """The closed-form construction, mapped into search normal form.
+    """The closed-form construction as a normal form, listed in column-major
+    order.
 
     Branch ordering only: trying this known solution's digit first at every
-    cell steers the depth-first walk straight to one full solution before any
-    backtracking, so even a tightly time-budgeted run emits verified
-    solutions.  The explored set is unchanged - ordering is not pruning.
+    position steers the depth-first walk straight to one full solution
+    before any backtracking, so even a tightly time-budgeted run emits
+    verified solutions.  The explored set is unchanged - ordering is not
+    pruning.
     """
     g = construct_l_array(k)
     # the construction's (0,0,0)-filled L sits at anchor (k-1, 0); one row
     # shift moves it to anchor (0, 0), where normal forms pin it
     rows = g.rows[-1:] + g.rows[:-1]
-    flat = [v for row in rows for v in row]
+    seq = [rows[r][j] for j in range(k * k) for r in range(k)]
     perm: dict[int, int] = {}
-    for v in flat:
+    for v in seq:
         if v not in perm:
             perm[v] = len(perm)
-    return tuple(perm[v] for v in flat)
+    return tuple(perm[v] for v in seq)
 
 
 def _search_shard(k: int,
@@ -117,162 +160,98 @@ def _search_shard(k: int,
                   target: Optional[tuple[int, ...]] = None,
                   shared: int = 0,
                   ) -> tuple[list[tuple[int, ...]], int, bool]:
-    """Exhaust one shard (cells 0..len(prefix)-1 fixed).
+    """Exhaust one shard: positions 0..len(prefix)-1 of the cell order fixed.
 
-    Returns (solutions as flat digit tuples, nodes visited, finished);
-    finished is False when a limit or deadline cut the shard short.  The
-    first `shared` prefix cells are not counted as nodes: another shard
-    with the same leading cells has counted them already.
+    Canonical shards search normal forms in column-major order; the direct
+    stream searches every grid in row-major order.  Returns (solutions as
+    row-major flat digit tuples, nodes visited, finished); finished is False
+    when a limit or deadline cut the shard short.  A node is one digit tried
+    at one position.  The first `shared` prefix positions are not counted as
+    nodes: another shard with the same leading digits has counted them.
     """
     k2 = k * k
-    ncells = k * k2
-    plan = _completion_plan(k)
-    # cells forced to 0 in canonical mode: the cells of the (0,0,0) L
-    pinned = {0, k2, k2 + 1} if canonical else ()
-    vals = [0] * ncells
-    used = bytearray(k ** 3)
-    # Each horizontal pair value (b, d) combines with exactly k distinct top
-    # digits, so it appears exactly k times among the grid's k^3 adjacent
-    # pairs.  For rows >= 1 the window ledger enforces this bound at the same
-    # depth, but the windows over row 0's pairs only close in the last row;
-    # counting row 0's pairs directly prunes hopeless first rows on the spot.
-    rowpairs = bytearray(k2)
-    nodes = 0
-    maxused = 0
-
-    # Claim windows completed inside the prefix; a clash kills the shard.
-    for p, digit in enumerate(prefix):
-        if p in pinned and digit != 0:
-            return [], nodes, True
-        if canonical and digit > maxused + 1:
-            return [], nodes, True
-        maxused = max(maxused, digit)
-        vals[p] = digit
-        if p >= shared:
-            nodes += 1
-        if 0 < p < k2:
-            pc = vals[p - 1] * k + digit
-            if rowpairs[pc] >= k:
-                return [], nodes, True
-            rowpairs[pc] += 1
-            if p == k2 - 1:
-                wc = digit * k + vals[0]
-                if rowpairs[wc] >= k:
-                    return [], nodes, True
-                rowpairs[wc] += 1
-        for a, b, d in plan[p]:
-            code = (vals[a] * k + vals[b]) * k + vals[d]
-            if used[code]:
-                return [], nodes, True
-            used[code] = 1
-
-    solutions: list[tuple[int, ...]] = []
-    interrupted = False
-    check_every = 16384
-    since_check = 0
-    # per-cell digit order: the guide target's digit first, rest ascending
-    orders = None
+    n = k * k2
+    order = ([(i % k) * k2 + i // k for i in range(n)] if canonical
+             else list(range(n)))
+    checks = _closing_checks(k, order)
+    room = [1] * k ** 3 + [k] * (2 * k2)
+    vals = [0] * n  # row-major, like the solutions
+    # digits to try at each position, the guide's first
+    opts = [tuple(range(k))] * n
     if target is not None:
-        orders = [(t,) + tuple(d for d in range(k) if d != t)
-                  for t in target]
-    # a cell is the a of at most one L, the b of at most one, the d of at
-    # most one, so at most 3 windows complete per cell
-    assert all(len(cell) <= 3 for cell in plan)
+        opts = [(t,) + tuple(d for d in range(k) if d != t) for t in target]
+    for p in (_pinned(k) if canonical else ()):
+        opts[p] = (0,)
+    # largest digit before each position: a normal form's next new digit
+    # is at most one more
+    maxu = [0] * (n + 1)
+    nodes = 0
 
-    def dfs(p: int, maxu: int) -> bool:
-        """Returns False when a limit or deadline interrupted the search."""
-        nonlocal nodes, interrupted, since_check
-        if p == ncells:
-            solutions.append(tuple(vals))
-            return not (limit is not None and len(solutions) >= limit)
-        if deadline is not None:
-            since_check += 1
-            if since_check >= check_every:
-                since_check = 0
-                if time.monotonic() > deadline:
-                    interrupted = True
-                    return False
-        if p in pinned:
-            top = 1
-        elif canonical:
-            top = min(k, maxu + 2)
-        else:
-            top = k
-        ent = plan[p]
-        ne = len(ent)
-        if ne:
-            a0, b0, d0 = ent[0]
-            if ne > 1:
-                a1, b1, d1 = ent[1]
-            if ne > 2:
-                a2, b2, d2 = ent[2]
-        for digit in (orders[p] if orders is not None else range(top)):
-            if digit >= top:
-                continue
-            nodes += 1
-            vals[p] = digit
-            nmaxu = maxu if digit <= maxu else digit
-            if ne == 0:
-                # cells completing no window: all of row 0, plus column 0 of
-                # middle rows; only row 0 gets the adjacent-pair bound
-                if p == 0 or p >= k2:
-                    if not dfs(p + 1, nmaxu):
-                        return False
-                    continue
-                pc = vals[p - 1] * k + digit
-                if p != k2 - 1:
-                    if rowpairs[pc] >= k:
-                        continue
-                    rowpairs[pc] += 1
-                    deeper = dfs(p + 1, nmaxu)
-                    rowpairs[pc] -= 1
-                else:
-                    wc = digit * k + vals[0]
-                    if pc == wc:
-                        if rowpairs[pc] + 2 > k:
-                            continue
-                        rowpairs[pc] += 2
-                        deeper = dfs(p + 1, nmaxu)
-                        rowpairs[pc] -= 2
-                    else:
-                        if rowpairs[pc] >= k or rowpairs[wc] >= k:
-                            continue
-                        rowpairs[pc] += 1
-                        rowpairs[wc] += 1
-                        deeper = dfs(p + 1, nmaxu)
-                        rowpairs[pc] -= 1
-                        rowpairs[wc] -= 1
-                if not deeper:
-                    return False
-                continue
-            c0 = (vals[a0] * k + vals[b0]) * k + vals[d0]
-            if used[c0]:
-                continue
-            if ne == 1:
-                used[c0] = 1
-                deeper = dfs(p + 1, nmaxu)
-                used[c0] = 0
-            else:
-                c1 = (vals[a1] * k + vals[b1]) * k + vals[d1]
-                if c1 == c0 or used[c1]:
-                    continue
-                if ne == 2:
-                    used[c0] = used[c1] = 1
-                    deeper = dfs(p + 1, nmaxu)
-                    used[c0] = used[c1] = 0
-                else:
-                    c2 = (vals[a2] * k + vals[b2]) * k + vals[d2]
-                    if c2 == c0 or c2 == c1 or used[c2]:
-                        continue
-                    used[c0] = used[c1] = used[c2] = 1
-                    deeper = dfs(p + 1, nmaxu)
-                    used[c0] = used[c1] = used[c2] = 0
-            if not deeper:
+    def claim(i: int, digit: int) -> bool:
+        """Place digit at position i and claim its ledger slots; on a clash
+        undo the claims and return False."""
+        taken = []
+        for base, x, wx, y, wy, w in checks[i]:
+            slot = base + vals[x] * wx + vals[y] * wy + digit * w
+            if not room[slot]:
+                for s in taken:
+                    room[s] += 1
                 return False
+            room[slot] -= 1
+            taken.append(slot)
+        vals[order[i]] = digit
         return True
 
-    finished = dfs(len(prefix), maxused)
-    return solutions, nodes, finished and not interrupted
+    def release(i: int) -> None:
+        digit = vals[order[i]]
+        for base, x, wx, y, wy, w in checks[i]:
+            room[base + vals[x] * wx + vals[y] * wy + digit * w] += 1
+
+    for i, digit in enumerate(prefix):
+        if digit not in opts[i] or (canonical and digit > maxu[i] + 1):
+            return [], nodes, True
+        maxu[i + 1] = max(maxu[i], digit)
+        if i >= shared:
+            nodes += 1
+        if not claim(i, digit):
+            return [], nodes, True
+
+    solutions: list[tuple[int, ...]] = []
+    start = i = len(prefix)
+    nxt = [0] * (n + 1)  # per position, the next index into opts to try
+    since_check = 0
+    while i >= start:
+        if i < n:
+            opt = opts[i]
+            top = maxu[i] + 2 if canonical else k
+            placed = False
+            for j in range(nxt[i], len(opt)):
+                digit = opt[j]
+                if digit < top:
+                    nodes += 1
+                    if claim(i, digit):
+                        placed = True
+                        break
+            if placed:
+                nxt[i] = j + 1
+                maxu[i + 1] = max(maxu[i], digit)
+                i += 1
+                nxt[i] = 0
+                if deadline is not None:
+                    since_check += 1
+                    if since_check >= 16384:
+                        since_check = 0
+                        if time.monotonic() > deadline:
+                            return solutions, nodes, False
+                continue
+        else:
+            solutions.append(tuple(vals))
+            if limit is not None and len(solutions) >= limit:
+                return solutions, nodes, False
+        i -= 1
+        if i >= start:
+            release(i)
+    return solutions, nodes, True
 
 
 def _translation_maps(k: int) -> list[tuple[int, ...]]:
@@ -340,25 +319,20 @@ def _to_grid(k: int, flat: tuple[int, ...]) -> DigitGrid:
 
 
 def _shard_prefixes(k: int, workers: int, canonical: bool) -> list[tuple[int, ...]]:
-    """Prefixes over the first row, long enough to feed every worker."""
-    if workers <= 1:
+    """Normal-form prefixes in column-major order, one position deeper at a
+    time until every worker has several shards.  A single worker, and the
+    direct stream (which stops at its limit), get the one empty prefix."""
+    if workers <= 1 or not canonical:
         return [()]
-    depth = 1
-    while k ** depth < 4 * workers and depth < k * k:
+    pinned = _pinned(k)
+    prefixes: list[tuple[int, ...]] = [()]
+    depth = 0
+    while len(prefixes) < 8 * workers and depth < k ** 3:
+        prefixes = [pre + (d,) for pre in prefixes
+                    for d in ((0,) if depth in pinned
+                              else range(min(k, max(pre) + 2)))]
         depth += 1
-    if not canonical:
-        return [tuple(p) for p in product(range(k), repeat=depth)]
-    # cell 0 is pinned to 0; remaining digits obey the first-occurrence cap
-    prefixes = []
-    for rest in product(range(k), repeat=depth - 1):
-        mu = 0
-        for d in rest:
-            if d > mu + 1:
-                break
-            mu = max(mu, d)
-        else:
-            prefixes.append((0,) + rest)
-    return prefixes or [()]
+    return prefixes
 
 
 def _run_shards(k: int, prefixes, limit, deadline, canonical, workers,
@@ -372,7 +346,7 @@ def _run_shards(k: int, prefixes, limit, deadline, canonical, workers,
         # remaining shard order - and hence the merged output - is unchanged)
         prefixes = sorted(prefixes,
                           key=lambda pre: pre != tuple(target[:len(pre)]))
-    # count each prefix-tree node once: a shard skips the leading cells it
+    # count each prefix-tree node once: a shard skips the leading positions it
     # shares with a shard earlier in the list
     seen = {()}
     shared = []
@@ -386,8 +360,6 @@ def _run_shards(k: int, prefixes, limit, deadline, canonical, workers,
             sols.extend(s)
             nodes += n
             finished = finished and done
-            if limit is not None and len(sols) >= limit:
-                break
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_search_shard, k, pre, limit, deadline,
@@ -411,7 +383,9 @@ def enumerate_l_arrays(cfg: SearchConfig,
 
     Complete runs go through the normal-form search plus orbit expansion;
     runs bounded by a solution limit fall back to the direct lexicographic
-    stream so the first solutions appear without exhausting the space.
+    stream, in one shard, so the first solutions appear without exhausting
+    the space.  Raises BudgetError before searching when a full-grid run
+    would have to build an orbit of more than MAX_ORBIT_CELLS cells.
     """
     start = time.monotonic()
     deadline = start + cfg.time_budget if cfg.time_budget is not None else None
@@ -419,35 +393,42 @@ def enumerate_l_arrays(cfg: SearchConfig,
     use_canonical = cfg.limit is None
     prefixes = _shard_prefixes(k, workers, use_canonical)
 
-    raw_count: int
-    out_flats: list[tuple[int, ...]]
     if use_canonical:
+        orbit_cells = k ** 6 * factorial(k - 1)
+        if (cfg.symmetry == "none" and not cfg.count_only
+                and orbit_cells > MAX_ORBIT_CELLS):
+            raise BudgetError(
+                f"one orbit at k={k} holds {orbit_cells} cells, over the "
+                f"limit of {MAX_ORBIT_CELLS}; only a solution limit bounds "
+                f"such a run")
         canon_flats, nodes, complete = _run_shards(
             k, prefixes, None, deadline, True, workers,
             target=_guide_target(k))
         maps = _translation_maps(k)
         perms = _zero_fixing_perms(k)
-        raw_count = len(canon_flats) * len(maps) * len(perms)
-        if cfg.symmetry == "none":
-            out_flats = []
-            if not cfg.count_only:
-                for flat in canon_flats:
-                    out_flats.extend(_expand_orbit(k, flat, maps, perms))
-                out_flats.sort()
-        else:
-            seeds = canon_flats
-            if cfg.symmetry == "translations":
+        seeds: list[tuple[int, ...]] = []
+        kept = 0
+        for flat in canon_flats:
+            # the budget covers expansion too: after the deadline the run
+            # stops at an orbit boundary, having emitted at least one orbit
+            if kept and deadline is not None and time.monotonic() > deadline:
+                complete = False
+                break
+            kept += 1
+            if cfg.symmetry == "none":
+                if not cfg.count_only:
+                    seeds.extend(_expand_orbit(k, flat, maps, perms))
+            elif cfg.symmetry == "translations":
                 # relabel images seed distinct translation orbits
-                seeds = [tuple(perm[v] for v in f)
-                         for f in canon_flats for perm in perms]
-            out_flats = _orbit_reps(k, seeds, cfg.symmetry)
+                seeds.extend(tuple(perm[v] for v in flat) for perm in perms)
+            else:
+                seeds.append(flat)
+        raw_count = kept * len(maps) * len(perms)
+        out_flats = (sorted(seeds) if cfg.symmetry == "none"
+                     else _orbit_reps(k, seeds, cfg.symmetry))
     else:
-        raw, nodes, finished = _run_shards(
+        raw, nodes, complete = _run_shards(
             k, prefixes, cfg.limit, deadline, False, workers)
-        raw.sort()
-        if len(raw) > cfg.limit:
-            raw = raw[:cfg.limit]
-        complete = finished and len(raw) < cfg.limit
         raw_count = len(raw)
         out_flats = (raw if cfg.symmetry == "none"
                      else _orbit_reps(k, raw, cfg.symmetry))

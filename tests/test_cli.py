@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from debruijn_arrays import cli
 from debruijn_arrays.cli import main
 from debruijn_arrays.construct import construct_l_array
 from debruijn_arrays.grid import DigitGrid
@@ -167,6 +173,51 @@ class TestEnumerate:
     def test_bad_flags_exit_2(self, capsys):
         code, _, err = run(capsys, "enumerate", "--k", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
+    def test_non_finite_budget_exit_2(self, capsys, budget):
+        code, out, err = run(capsys, "enumerate", "--k", "4", "--limit", "1",
+                             f"--time-budget={budget}")
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+    def test_unwritable_report_file_exit_2_before_search(self, monkeypatch,
+                                                          tmp_path, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search must not run")
+        monkeypatch.setattr(cli, "enumerate_l_arrays", refuse)
+        code, out, err = run(capsys, "enumerate", "--k", "2", "--report-file",
+                             str(tmp_path / "missing" / "report.json"))
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("k", ["9", "10"])
+    def test_orbit_too_large_exit_2(self, capsys, k):
+        start = time.monotonic()
+        code, out, err = run(capsys, "enumerate", "--k", k,
+                             "--time-budget", "1")
+        assert time.monotonic() - start < 1.0
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+    def test_closed_stdout_exits_141_without_traceback(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "debruijn_arrays.cli", "enumerate",
+             "--k", "3", "--symmetry", "translations"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert proc.stdout.readline() == b"3\n"
+            proc.stdout.close()  # like `| head -1`
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE
+        finally:
+            proc.kill()
+            proc.wait()
+        assert b"Traceback" not in err
 
 
 class TestUsage:

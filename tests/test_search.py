@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import permutations
 
 import pytest
@@ -74,6 +75,12 @@ class TestConfig:
         with pytest.raises(DomainError):
             SearchConfig(k=2, time_budget=-1)
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"),
+                                        float("-inf")])
+    def test_non_finite_budget_rejected(self, budget):
+        with pytest.raises(DomainError):
+            SearchConfig(k=4, limit=1, time_budget=budget)
+
 
 class TestK2:
     def test_oracle_equivalence(self, k2_enumerated, k2_brute):
@@ -143,6 +150,45 @@ class TestLimitsAndBudgets:
         assert not report.complete
         assert report.elapsed < 10
         assert all(verify_l_array(g).valid for g in sols)
+        # the search runs to the deadline; expansion then stops after the
+        # first whole orbit (4^3 translations x 3! relabelings)
+        assert len(sols) == report.raw_count == 64 * 6
+
+    @pytest.mark.parametrize("k", [8, 10])
+    def test_orbit_too_large_refused_before_search(self, k):
+        start = time.monotonic()
+        with pytest.raises(BudgetError):
+            enumerate_l_arrays(SearchConfig(k=k, time_budget=30.0))
+        assert time.monotonic() - start < 1.0
+
+    def test_count_only_large_k_not_refused(self):
+        # no grid is built, so the orbit size does not matter
+        sols, report = enumerate_l_arrays(
+            SearchConfig(k=8, time_budget=0.5, count_only=True))
+        assert sols == [] and not report.complete
+        assert report.raw_count == 8 ** 3 * 5040
+
+    def test_deep_search_is_iterative(self):
+        # k=10 places 1 000 cells, beyond the default recursion limit
+        k = 10
+        sols, nodes, finished = search._search_shard(
+            k, (), None, time.monotonic() + 1.0, True, search._guide_target(k))
+        assert sols and not finished
+        assert verify_l_array(search._to_grid(k, sols[0])).valid
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_guide_reaches_its_target_without_backtracking(self, k):
+        target = search._guide_target(k)
+        n = k ** 3
+        sols, nodes, _ = search._search_shard(k, (), 1, None, True, target)
+        # the target lists the grid column by column
+        flat = tuple(target[j * k + r] for r in range(k) for j in range(k * k))
+        assert sols == [flat] and nodes == n
+        assert verify_l_array(search._to_grid(k, flat)).valid
+        # a normal form: (0,0,0) at anchor (0,0), new digits ascending
+        assert flat[0] == flat[k * k] == flat[k * k + 1] == 0
+        firsts = [v for i, v in enumerate(target) if v not in target[:i]]
+        assert firsts == list(range(k))
 
     def test_brute_filter_budget(self):
         with pytest.raises(BudgetError):
@@ -227,6 +273,14 @@ class TestDeterminismAndSharding:
     def test_node_count_independent_of_workers(self, k2_enumerated, workers):
         _, report = enumerate_l_arrays(SearchConfig(k=2), workers=workers)
         assert report.nodes_visited == k2_enumerated[1].nodes_visited
+
+    def test_limited_run_node_count_independent_of_workers(self):
+        # a limited run is one shard: extra workers do no extra search
+        cfg = SearchConfig(k=3, limit=5)
+        one, report1 = enumerate_l_arrays(cfg, workers=1)
+        two, report2 = enumerate_l_arrays(cfg, workers=2)
+        assert one == two
+        assert report1.nodes_visited == report2.nodes_visited
 
     def test_count_only(self):
         sols, report = enumerate_l_arrays(SearchConfig(k=2, count_only=True))
