@@ -41,8 +41,9 @@ def main() -> None:
           all(verify_l_array(g).valid for g in sols))
     print(sols[0].to_text())
 
-    # k=4: the space is far too large to exhaust; a time budget returns
-    # whatever was found, clearly flagged as a partial result.
+    # k=4: the space is far too large to exhaust; a run cut by its time
+    # budget emits the closed-form construction's orbit, clearly flagged as
+    # a partial result.
     sols, report = enumerate_l_arrays(SearchConfig(k=4, time_budget=20.0))
     print(f"k=4 with a 20 s budget: {len(sols)} verified solutions, report:")
     print(json.dumps(report.to_json_dict(), indent=2))

@@ -16,9 +16,11 @@ appearing in ascending order along the columns - and expanding each hit by
 all k*k^2 translations and (k-1)! zero-fixing relabelings therefore recovers
 every raw solution exactly once, at roughly 1/(k^3 * (k-1)!) of the search
 cost.  Normal forms are searched in column-major order, where every cell
-from the second column on closes windows.  A truncated complete run emits
-whole orbits: after the deadline it stops at the next orbit boundary,
-having emitted at least one.
+from the second column on closes windows.  A complete run whose search the
+deadline cuts emits one orbit, that of the closed-form construction
+(construct_l_array), the one solution known without searching; a finished
+search whose expansion overruns the deadline stops at the next orbit
+boundary, having emitted at least one.
 
 Runs bounded by a solution limit search every grid in row-major order with
 ascending digits, so they stream solutions in lexicographic order of their
@@ -45,9 +47,11 @@ from .grid import DigitGrid
 from .verify import verify_l_array
 
 SYMMETRIES = ("none", "translations", "translations+relabel")
-# Cells in one expanded orbit (k^3 * (k-1)! grids of k^3 cells) that a run
-# emitting full grids may build: admits k <= 7 (84.7 M), refuses k >= 8
-# (1.32 G), which no memory of a small machine holds.
+# Cells that a complete run may build or read for one orbit: k^3 * (k-1)!
+# grids of k^3 cells when it expands the orbit or reduces it under
+# translations, k^3 * k! grid images under translations+relabel.  Admits
+# k <= 7 (84.7 M) and k <= 6 with relabel (33.6 M); refuses k >= 8 (1.32 G)
+# and k = 7 with relabel (593 M), which no small machine holds or finishes.
 MAX_ORBIT_CELLS = 100_000_000
 
 
@@ -57,7 +61,6 @@ class SearchConfig:
     symmetry: str = "none"
     limit: Optional[int] = None
     time_budget: Optional[float] = None  # seconds
-    count_only: bool = False
 
     def __post_init__(self):
         if self.k < 2:
@@ -130,45 +133,27 @@ def _closing_checks(k: int, order: list[int]) -> list[list[tuple[int, ...]]]:
     return checks
 
 
-def _guide_target(k: int) -> tuple[int, ...]:
-    """The closed-form construction as a normal form, listed in column-major
-    order.
-
-    Branch ordering only: trying this known solution's digit first at every
-    position steers the depth-first walk straight to one full solution
-    before any backtracking, so even a tightly time-budgeted run emits
-    verified solutions.  The explored set is unchanged - ordering is not
-    pruning.
-    """
-    g = construct_l_array(k)
-    # the construction's (0,0,0)-filled L sits at anchor (k-1, 0); one row
-    # shift moves it to anchor (0, 0), where normal forms pin it
-    rows = g.rows[-1:] + g.rows[:-1]
-    seq = [rows[r][j] for j in range(k * k) for r in range(k)]
-    perm: dict[int, int] = {}
-    for v in seq:
-        if v not in perm:
-            perm[v] = len(perm)
-    return tuple(perm[v] for v in seq)
-
-
 def _search_shard(k: int,
                   prefix: tuple[int, ...],
                   limit: Optional[int],
                   deadline: Optional[float],
                   canonical: bool = False,
-                  target: Optional[tuple[int, ...]] = None,
                   shared: int = 0,
                   ) -> tuple[list[tuple[int, ...]], int, bool]:
     """Exhaust one shard: positions 0..len(prefix)-1 of the cell order fixed.
 
     Canonical shards search normal forms in column-major order; the direct
-    stream searches every grid in row-major order.  Returns (solutions as
-    row-major flat digit tuples, nodes visited, finished); finished is False
-    when a limit or deadline cut the shard short.  A node is one digit tried
-    at one position.  The first `shared` prefix positions are not counted as
-    nodes: another shard with the same leading digits has counted them.
+    stream searches every grid in row-major order.  Both try digits in
+    ascending order.  Returns (solutions as row-major flat digit tuples,
+    nodes visited, finished); finished is False when a limit or deadline cut
+    the shard short.  A shard whose deadline has already passed returns at
+    once, unfinished, so shards queued behind a cut one do no work.  A node
+    is one digit tried at one position.  The first `shared` prefix positions
+    are not counted as nodes: another shard with the same leading digits has
+    counted them.
     """
+    if deadline is not None and time.monotonic() > deadline:
+        return [], 0, False
     k2 = k * k
     n = k * k2
     order = ([(i % k) * k2 + i // k for i in range(n)] if canonical
@@ -176,12 +161,10 @@ def _search_shard(k: int,
     checks = _closing_checks(k, order)
     room = [1] * k ** 3 + [k] * (2 * k2)
     vals = [0] * n  # row-major, like the solutions
-    # digits to try at each position, the guide's first
-    opts = [tuple(range(k))] * n
-    if target is not None:
-        opts = [(t,) + tuple(d for d in range(k) if d != t) for t in target]
+    # digits tried at each position lie below its cap; pinned cells hold 0
+    cap = [k] * n
     for p in (_pinned(k) if canonical else ()):
-        opts[p] = (0,)
+        cap[p] = 1
     # largest digit before each position: a normal form's next new digit
     # is at most one more
     maxu = [0] * (n + 1)
@@ -208,7 +191,7 @@ def _search_shard(k: int,
             room[base + vals[x] * wx + vals[y] * wy + digit * w] += 1
 
     for i, digit in enumerate(prefix):
-        if digit not in opts[i] or (canonical and digit > maxu[i] + 1):
+        if digit >= cap[i] or (canonical and digit > maxu[i] + 1):
             return [], nodes, True
         maxu[i + 1] = max(maxu[i], digit)
         if i >= shared:
@@ -218,22 +201,19 @@ def _search_shard(k: int,
 
     solutions: list[tuple[int, ...]] = []
     start = i = len(prefix)
-    nxt = [0] * (n + 1)  # per position, the next index into opts to try
+    nxt = [0] * (n + 1)  # per position, the next digit to try
     since_check = 0
     while i >= start:
         if i < n:
-            opt = opts[i]
-            top = maxu[i] + 2 if canonical else k
+            top = min(cap[i], maxu[i] + 2) if canonical else k
             placed = False
-            for j in range(nxt[i], len(opt)):
-                digit = opt[j]
-                if digit < top:
-                    nodes += 1
-                    if claim(i, digit):
-                        placed = True
-                        break
+            for digit in range(nxt[i], top):
+                nodes += 1
+                if claim(i, digit):
+                    placed = True
+                    break
             if placed:
-                nxt[i] = j + 1
+                nxt[i] = digit + 1
                 maxu[i + 1] = max(maxu[i], digit)
                 i += 1
                 nxt[i] = 0
@@ -335,17 +315,10 @@ def _shard_prefixes(k: int, workers: int, canonical: bool) -> list[tuple[int, ..
     return prefixes
 
 
-def _run_shards(k: int, prefixes, limit, deadline, canonical, workers,
-                target=None):
+def _run_shards(k: int, prefixes, limit, deadline, canonical, workers):
     sols: list[tuple[int, ...]] = []
     nodes = 0
     finished = True
-    if target is not None:
-        # visit the shard holding the guide target first so budgeted runs
-        # reach a solution before the budget can expire (stable, so the
-        # remaining shard order - and hence the merged output - is unchanged)
-        prefixes = sorted(prefixes,
-                          key=lambda pre: pre != tuple(target[:len(pre)]))
     # count each prefix-tree node once: a shard skips the leading positions it
     # shares with a shard earlier in the list
     seen = {()}
@@ -355,15 +328,14 @@ def _run_shards(k: int, prefixes, limit, deadline, canonical, workers,
         seen.update(pre[:i] for i in range(1, len(pre) + 1))
     if len(prefixes) == 1 or workers <= 1:
         for pre, sh in zip(prefixes, shared):
-            s, n, done = _search_shard(k, pre, limit, deadline, canonical,
-                                       target, sh)
+            s, n, done = _search_shard(k, pre, limit, deadline, canonical, sh)
             sols.extend(s)
             nodes += n
             finished = finished and done
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_search_shard, k, pre, limit, deadline,
-                                   canonical, target, sh)
+                                   canonical, sh)
                        for pre, sh in zip(prefixes, shared)]
             for fut in futures:
                 s, n, done = fut.result()
@@ -384,8 +356,8 @@ def enumerate_l_arrays(cfg: SearchConfig,
     Complete runs go through the normal-form search plus orbit expansion;
     runs bounded by a solution limit fall back to the direct lexicographic
     stream, in one shard, so the first solutions appear without exhausting
-    the space.  Raises BudgetError before searching when a full-grid run
-    would have to build an orbit of more than MAX_ORBIT_CELLS cells.
+    the space.  Raises BudgetError before searching when a complete run
+    would have to build or read more than MAX_ORBIT_CELLS cells per orbit.
     """
     start = time.monotonic()
     deadline = start + cfg.time_budget if cfg.time_budget is not None else None
@@ -394,30 +366,33 @@ def enumerate_l_arrays(cfg: SearchConfig,
     prefixes = _shard_prefixes(k, workers, use_canonical)
 
     if use_canonical:
-        orbit_cells = k ** 6 * factorial(k - 1)
-        if (cfg.symmetry == "none" and not cfg.count_only
-                and orbit_cells > MAX_ORBIT_CELLS):
+        relabels = k if cfg.symmetry == "translations+relabel" else k - 1
+        orbit_cells = k ** 6 * factorial(relabels)
+        if orbit_cells > MAX_ORBIT_CELLS:
             raise BudgetError(
-                f"one orbit at k={k} holds {orbit_cells} cells, over the "
-                f"limit of {MAX_ORBIT_CELLS}; only a solution limit bounds "
-                f"such a run")
+                f"one orbit at k={k} under symmetry {cfg.symmetry!r} costs "
+                f"{orbit_cells} cells, over the limit of {MAX_ORBIT_CELLS}; "
+                f"only a solution limit bounds such a run")
         canon_flats, nodes, complete = _run_shards(
-            k, prefixes, None, deadline, True, workers,
-            target=_guide_target(k))
+            k, prefixes, None, deadline, True, workers)
+        if not complete:
+            # emit the construction's orbit: any member seeds the same orbit
+            # and the same quotient representatives as its normal form
+            g = construct_l_array(k)
+            canon_flats = [tuple(v for row in g.rows for v in row)]
         maps = _translation_maps(k)
         perms = _zero_fixing_perms(k)
         seeds: list[tuple[int, ...]] = []
         kept = 0
         for flat in canon_flats:
-            # the budget covers expansion too: after the deadline the run
-            # stops at an orbit boundary, having emitted at least one orbit
+            # the budget covers expansion too: after the deadline a finished
+            # search stops at an orbit boundary, having emitted at least one
             if kept and deadline is not None and time.monotonic() > deadline:
                 complete = False
                 break
             kept += 1
             if cfg.symmetry == "none":
-                if not cfg.count_only:
-                    seeds.extend(_expand_orbit(k, flat, maps, perms))
+                seeds.extend(_expand_orbit(k, flat, maps, perms))
             elif cfg.symmetry == "translations":
                 # relabel images seed distinct translation orbits
                 seeds.extend(tuple(perm[v] for v in flat) for perm in perms)
@@ -436,7 +411,7 @@ def enumerate_l_arrays(cfg: SearchConfig,
     if complete:
         orbits = raw_count if cfg.symmetry == "none" else len(out_flats)
 
-    grids = [] if cfg.count_only else [_to_grid(k, f) for f in out_flats]
+    grids = [_to_grid(k, f) for f in out_flats]
     report = SearchReport(raw_count=raw_count, orbit_count=orbits,
                           nodes_visited=nodes, complete=complete,
                           elapsed=time.monotonic() - start)

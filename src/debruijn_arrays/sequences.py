@@ -177,10 +177,12 @@ def count_best(k: int, n: int) -> int:
     against count_brute on (2,2) and (2,3): the raw BEST value already
     counts cyclic de Bruijn classes, so no extra normalization factor.
     """
-    g = build_graph(k, n)
-    if g.node_count > BEST_MAX_NODES:
-        raise BudgetError(f"(k={k}, n={n}) needs a {g.node_count}-node Laplacian, "
+    # refuse before build_graph lists the k^(n-1) nodes; k >= 2, so capping
+    # the exponent at the budget keeps the comparison exact and cheap
+    if k >= 2 and n >= 1 and k ** min(n - 1, BEST_MAX_NODES) > BEST_MAX_NODES:
+        raise BudgetError(f"(k={k}, n={n}) needs a {k}^{n - 1}-node Laplacian, "
                           f"budget is {BEST_MAX_NODES}")
+    g = build_graph(k, n)
     arbs = _arborescence_count(g)
     return arbs * factorial(k - 1) ** g.node_count
 

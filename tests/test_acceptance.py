@@ -189,6 +189,7 @@ def test_criterion_10_serialization_roundtrips_and_cli_exit_codes(tmp_path, caps
         assert code == expected, f"{argv} -> {code}, expected {expected}"
 
 
+@pytest.mark.slow
 def test_k4_truncated_run_demo():
     """Completing k=4 is out of reach (a 4^64 assignment space); a 60 s
     budget must still emit at least one verified solution and an honest

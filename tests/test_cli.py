@@ -133,6 +133,14 @@ class TestSequenceAndCount:
         assert code == 2
         assert err
 
+    def test_best_over_budget_exit_2_at_once(self, capsys):
+        start = time.monotonic()
+        code, out, err = run(capsys, "count", "--k", "2", "--n", "40",
+                             "--method", "best")
+        assert time.monotonic() - start < 1.0
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
 
 class TestEnumerate:
     def test_k2_complete(self, capsys):
@@ -196,6 +204,16 @@ class TestEnumerate:
         start = time.monotonic()
         code, out, err = run(capsys, "enumerate", "--k", k,
                              "--time-budget", "1")
+        assert time.monotonic() - start < 1.0
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("k,symmetry", [("8", "translations"),
+                                            ("7", "translations+relabel")])
+    def test_quotient_orbit_too_large_exit_2(self, capsys, k, symmetry):
+        start = time.monotonic()
+        code, out, err = run(capsys, "enumerate", "--k", k, "--symmetry",
+                             symmetry, "--time-budget", "1")
         assert time.monotonic() - start < 1.0
         assert code == 2
         assert out == "" and err.startswith("error:")

@@ -1,10 +1,12 @@
 import random
 import time
 from itertools import permutations
+from math import factorial
 
 import pytest
 
 from debruijn_arrays import search
+from debruijn_arrays.construct import construct_l_array
 from debruijn_arrays.errors import (BudgetError, DomainError,
                                     IncompleteSearchError)
 from debruijn_arrays.grid import DigitGrid, relabel, translate
@@ -150,8 +152,8 @@ class TestLimitsAndBudgets:
         assert not report.complete
         assert report.elapsed < 10
         assert all(verify_l_array(g).valid for g in sols)
-        # the search runs to the deadline; expansion then stops after the
-        # first whole orbit (4^3 translations x 3! relabelings)
+        # the search runs to the deadline; the run then emits the
+        # construction's orbit (4^3 translations x 3! relabelings)
         assert len(sols) == report.raw_count == 64 * 6
 
     @pytest.mark.parametrize("k", [8, 10])
@@ -161,34 +163,52 @@ class TestLimitsAndBudgets:
             enumerate_l_arrays(SearchConfig(k=k, time_budget=30.0))
         assert time.monotonic() - start < 1.0
 
-    def test_count_only_large_k_not_refused(self):
-        # no grid is built, so the orbit size does not matter
-        sols, report = enumerate_l_arrays(
-            SearchConfig(k=8, time_budget=0.5, count_only=True))
-        assert sols == [] and not report.complete
-        assert report.raw_count == 8 ** 3 * 5040
+    @pytest.mark.parametrize("k,symmetry", [(7, "none"), (7, "translations"),
+                                            (6, "translations+relabel")])
+    def test_largest_admitted_orbits_reach_the_search(self, monkeypatch, k,
+                                                      symmetry):
+        class Searched(Exception):
+            pass
+
+        def searched(*args, **kwargs):
+            raise Searched
+        monkeypatch.setattr(search, "_run_shards", searched)
+        with pytest.raises(Searched):
+            enumerate_l_arrays(SearchConfig(k=k, symmetry=symmetry,
+                                            time_budget=1.0))
+
+    def test_shard_past_its_deadline_does_no_work(self):
+        assert search._search_shard(
+            3, (), None, time.monotonic() - 1.0, True) == ([], 0, False)
 
     def test_deep_search_is_iterative(self):
         # k=10 places 1 000 cells, beyond the default recursion limit
-        k = 10
-        sols, nodes, finished = search._search_shard(
-            k, (), None, time.monotonic() + 1.0, True, search._guide_target(k))
-        assert sols and not finished
-        assert verify_l_array(search._to_grid(k, sols[0])).valid
+        _, _, finished = search._search_shard(
+            10, (), None, time.monotonic() + 1.0, True)
+        assert not finished
+        _, report = enumerate_l_arrays(
+            SearchConfig(k=10, limit=1, time_budget=1.0))
+        assert not report.complete
 
-    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
-    def test_guide_reaches_its_target_without_backtracking(self, k):
-        target = search._guide_target(k)
-        n = k ** 3
-        sols, nodes, _ = search._search_shard(k, (), 1, None, True, target)
-        # the target lists the grid column by column
-        flat = tuple(target[j * k + r] for r in range(k) for j in range(k * k))
-        assert sols == [flat] and nodes == n
-        assert verify_l_array(search._to_grid(k, flat)).valid
-        # a normal form: (0,0,0) at anchor (0,0), new digits ascending
-        assert flat[0] == flat[k * k] == flat[k * k + 1] == 0
-        firsts = [v for i, v in enumerate(target) if v not in target[:i]]
-        assert firsts == list(range(k))
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cut_run_emits_the_construction_orbit(self, k, workers):
+        g = construct_l_array(k)
+        orbit = sorted({relabel(translate(g, dr, dj), p)
+                        for dr in range(k) for dj in range(k * k)
+                        for p in permutations(range(k)) if p[0] == 0},
+                       key=lambda h: h.rows)
+        assert len(orbit) == k ** 3 * factorial(k - 1)
+        sols, report = enumerate_l_arrays(
+            SearchConfig(k=k, time_budget=0.1), workers=workers)
+        assert not report.complete and report.orbit_count is None
+        assert sols == orbit and report.raw_count == len(orbit)
+        reps, _ = enumerate_l_arrays(
+            SearchConfig(k=k, symmetry="translations", time_budget=0.1),
+            workers=workers)
+        flats = [tuple(v for row in h.rows for v in row) for h in orbit]
+        assert reps == [search._to_grid(k, f) for f in
+                        search._orbit_reps(k, flats, "translations")]
 
     def test_brute_filter_budget(self):
         with pytest.raises(BudgetError):
@@ -281,24 +301,6 @@ class TestDeterminismAndSharding:
         two, report2 = enumerate_l_arrays(cfg, workers=2)
         assert one == two
         assert report1.nodes_visited == report2.nodes_visited
-
-    def test_count_only(self):
-        sols, report = enumerate_l_arrays(SearchConfig(k=2, count_only=True))
-        assert sols == []
-        assert report.raw_count == K2_RAW
-
-    @pytest.mark.parametrize("symmetry", ["none", "translations"])
-    def test_count_only_skips_expansion_and_grids(self, monkeypatch, symmetry):
-        def refuse(*args, **kwargs):
-            raise AssertionError("count_only must not build solutions")
-        monkeypatch.setattr(search, "_expand_orbit", refuse)
-        monkeypatch.setattr(DigitGrid, "_trusted", classmethod(refuse))
-        sols, report = enumerate_l_arrays(
-            SearchConfig(k=2, symmetry=symmetry, count_only=True))
-        assert sols == []
-        assert report.raw_count == K2_RAW
-        assert report.orbit_count == (K2_RAW if symmetry == "none"
-                                      else K2_TRANSLATION_ORBITS)
 
 
 @pytest.fixture(scope="module")

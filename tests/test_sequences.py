@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from debruijn_arrays import sequences
 from debruijn_arrays.errors import BudgetError, DomainError
 from debruijn_arrays.sequences import (bareiss_determinant, build_graph,
                                        count_best, count_brute, count_formula,
@@ -111,11 +112,16 @@ class TestCounts:
             assert count_formula(k, 1) == factorial(k - 1)
             assert count_best(k, 1) == factorial(k - 1)
 
-    def test_budget_guards(self):
+    def test_budget_guards(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the graph must not be built")
+        monkeypatch.setattr(sequences, "build_graph", refuse)
         with pytest.raises(BudgetError):
             count_brute(2, 4)  # 2^16 words exceeds word-length budget
         with pytest.raises(BudgetError):
             count_best(2, 8)  # 128-node Laplacian
+        with pytest.raises(BudgetError):
+            count_best(2, 40)  # 2^39 nodes
 
     def test_domain(self):
         with pytest.raises(DomainError):
