@@ -17,9 +17,9 @@ import os
 import sys
 
 from .construct import construct_l_array
-from .errors import (BudgetError, DimensionError, DomainError, GridParseError)
+from .errors import BudgetError, DomainError, GridParseError
 from .grid import DigitGrid, parse_grid_json, parse_grid_text
-from .search import SearchConfig, default_workers, enumerate_l_arrays
+from .search import SearchConfig, enumerate_l_arrays
 from .sequences import (count_best, count_brute, count_formula,
                         format_word, generate_sequence, parse_word)
 from .verify import verify_l_array, verify_sequence, verify_torus
@@ -72,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--time-budget", type=float, default=None,
                    help="wall-clock cap in seconds")
-    p.add_argument("--workers", type=int, default=None,
-                   help="search workers (default: DEBRUIJN_ARRAYS_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="search worker processes (default: 1)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--report-file", default=None,
                    help="write the JSON search report here instead of stderr")
@@ -118,7 +118,10 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-_SHAPE_ARITY = {"l-array": 1, "torus": 3, "sequence": 2}
+# each --shape kind: its token count, and the usage shown when that is wrong
+_SHAPES = {"l-array": (1, "--shape l-array takes no extra arguments"),
+           "torus": (3, "--shape torus needs window dims: torus M N"),
+           "sequence": (2, "--shape sequence needs a window length: sequence N")}
 
 
 def _run_verify(args) -> int:
@@ -126,13 +129,15 @@ def _run_verify(args) -> int:
     # has a fixed arity, so one extra token is the input file
     shape = list(args.shape)
     kind = shape[0]
-    arity = _SHAPE_ARITY.get(kind)
-    if arity is None:
+    if kind not in _SHAPES:
         print(f"error: unknown shape {kind!r}", file=sys.stderr)
         return EXIT_USAGE
+    arity, usage = _SHAPES[kind]
     if len(shape) == arity + 1 and args.input == "-":
         args.input = shape.pop()
-    args.shape = shape
+    if len(shape) != arity:
+        print(f"error: {usage}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         text = _read_input(args.input)
     except OSError as exc:
@@ -140,32 +145,19 @@ def _run_verify(args) -> int:
         return EXIT_USAGE
 
     try:
-        if kind == "l-array":
-            if len(args.shape) != 1:
-                raise DomainError("--shape l-array takes no extra arguments")
-            parse = parse_grid_json if args.format == "json" else parse_grid_text
-            k_in, rows = parse(text)
-            if k_in != args.k:
-                raise GridParseError(f"input declares k={k_in}, but --k {args.k} given")
-            grid = DigitGrid(args.k, rows)
-            report = verify_l_array(grid)
-        elif kind == "torus":
-            if len(args.shape) != 3:
-                raise DomainError("--shape torus needs window dims: torus M N")
-            m, n = int(args.shape[1]), int(args.shape[2])
-            parse = parse_grid_json if args.format == "json" else parse_grid_text
-            k_in, rows = parse(text)
-            if k_in != args.k:
-                raise GridParseError(f"input declares k={k_in}, but --k {args.k} given")
-            report = verify_torus(rows, args.k, m, n)
-        elif kind == "sequence":
-            if len(args.shape) != 2:
-                raise DomainError("--shape sequence needs a window length: sequence N")
-            n = int(args.shape[1])
-            report = verify_sequence(parse_word(text, args.k), args.k, n)
+        if kind == "sequence":
+            report = verify_sequence(parse_word(text, args.k), args.k,
+                                     int(shape[1]))
         else:
-            raise DomainError(f"unknown shape {kind!r}")
-    except (GridParseError, DimensionError, DomainError, ValueError) as exc:
+            parse = parse_grid_json if args.format == "json" else parse_grid_text
+            k_in, rows = parse(text)
+            if k_in != args.k:
+                raise GridParseError(f"input declares k={k_in}, but --k {args.k} given")
+            if kind == "torus":
+                report = verify_torus(rows, args.k, int(shape[1]), int(shape[2]))
+            else:
+                report = verify_l_array(DigitGrid(args.k, rows))
+    except ValueError as exc:  # GridParseError, DimensionError, DomainError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -188,6 +180,9 @@ def _run_count(args) -> int:
                 values[name] = fn(args.k, args.n)
             except BudgetError as exc:
                 print(f"note: {name} skipped: {exc}", file=sys.stderr)
+        if not values:
+            raise BudgetError(f"every method is over its budget for "
+                              f"(k={args.k}, n={args.n})")
         if len(set(values.values())) > 1:
             print(f"error: count methods disagree: {values}", file=sys.stderr)
             return EXIT_INCONSISTENT
@@ -200,7 +195,6 @@ def _run_count(args) -> int:
 def _run_enumerate(args) -> int:
     cfg = SearchConfig(k=args.k, symmetry=args.symmetry, limit=args.limit,
                        time_budget=args.time_budget)
-    workers = args.workers if args.workers is not None else default_workers()
     # open the report file before searching, so a bad path costs no search
     try:
         report_out = (open(args.report_file, "w", encoding="utf-8")
@@ -209,7 +203,7 @@ def _run_enumerate(args) -> int:
         print(f"error: cannot write report file: {exc}", file=sys.stderr)
         return EXIT_USAGE
     with report_out as report_fh:
-        solutions, report = enumerate_l_arrays(cfg, workers=workers)
+        solutions, report = enumerate_l_arrays(cfg, workers=args.workers)
         if args.format == "json":
             print(json.dumps([{"k": g.k, "rows": [list(r) for r in g.rows]}
                               for g in solutions], separators=(", ", ": ")))

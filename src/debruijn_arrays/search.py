@@ -26,14 +26,13 @@ Runs bounded by a solution limit search every grid in row-major order with
 ascending digits, so they stream solutions in lexicographic order of their
 serialized form, as a prefix of the complete run's output.
 
-The normal-form search can be sharded on column-major prefixes; shards are
-independent and merged in prefix order, so the output is identical for any
-worker count.
+The normal-form search can be sharded on states the kernel reached, found
+by running it to a fixed depth; shards are independent and merged in state
+order, so the output and the node count are identical for any worker count.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -92,12 +91,6 @@ class SearchReport:
         }
 
 
-def _pinned(k: int) -> tuple[int, ...]:
-    """Column-major positions of the (0,0,0) L at anchor (0,0): cells (0,0),
-    (1,0) and (1,1), which every normal form pins to 0."""
-    return (0, 1, k + 1)
-
-
 def _closing_checks(k: int, order: list[int]) -> list[list[tuple[int, ...]]]:
     """For each position of `order` (flat cell indices), the ledger entries
     that become known once that position is assigned.
@@ -138,7 +131,7 @@ def _search_shard(k: int,
                   limit: Optional[int],
                   deadline: Optional[float],
                   canonical: bool = False,
-                  shared: int = 0,
+                  stop: Optional[int] = None,
                   ) -> tuple[list[tuple[int, ...]], int, bool]:
     """Exhaust one shard: positions 0..len(prefix)-1 of the cell order fixed.
 
@@ -148,22 +141,26 @@ def _search_shard(k: int,
     nodes visited, finished); finished is False when a limit or deadline cut
     the shard short.  A shard whose deadline has already passed returns at
     once, unfinished, so shards queued behind a cut one do no work.  A node
-    is one digit tried at one position.  The first `shared` prefix positions
-    are not counted as nodes: another shard with the same leading digits has
-    counted them.
+    is one digit tried at one position; the prefix, a state this kernel
+    reached, is replayed without counting nodes.  Given a `stop` position,
+    the search ends there and returns the states it reaches, as prefixes
+    (digits in cell order), instead of solutions.
     """
     if deadline is not None and time.monotonic() > deadline:
         return [], 0, False
     k2 = k * k
     n = k * k2
+    end = n if stop is None else stop
     order = ([(i % k) * k2 + i // k for i in range(n)] if canonical
              else list(range(n)))
     checks = _closing_checks(k, order)
     room = [1] * k ** 3 + [k] * (2 * k2)
     vals = [0] * n  # row-major, like the solutions
-    # digits tried at each position lie below its cap; pinned cells hold 0
+    # digits tried at each position lie below its cap; a normal form pins
+    # the (0,0,0) L at anchor (0,0): cells (0,0), (1,0) and (1,1), at
+    # column-major positions 0, 1 and k+1
     cap = [k] * n
-    for p in (_pinned(k) if canonical else ()):
+    for p in ((0, 1, k + 1) if canonical else ()):
         cap[p] = 1
     # largest digit before each position: a normal form's next new digit
     # is at most one more
@@ -191,20 +188,15 @@ def _search_shard(k: int,
             room[base + vals[x] * wx + vals[y] * wy + digit * w] += 1
 
     for i, digit in enumerate(prefix):
-        if digit >= cap[i] or (canonical and digit > maxu[i] + 1):
-            return [], nodes, True
+        claim(i, digit)
         maxu[i + 1] = max(maxu[i], digit)
-        if i >= shared:
-            nodes += 1
-        if not claim(i, digit):
-            return [], nodes, True
 
     solutions: list[tuple[int, ...]] = []
     start = i = len(prefix)
     nxt = [0] * (n + 1)  # per position, the next digit to try
     since_check = 0
     while i >= start:
-        if i < n:
+        if i < end:
             top = min(cap[i], maxu[i] + 2) if canonical else k
             placed = False
             for digit in range(nxt[i], top):
@@ -224,6 +216,8 @@ def _search_shard(k: int,
                         if time.monotonic() > deadline:
                             return solutions, nodes, False
                 continue
+        elif stop is not None:
+            solutions.append(tuple(vals[c] for c in order[:stop]))
         else:
             solutions.append(tuple(vals))
             if limit is not None and len(solutions) >= limit:
@@ -298,50 +292,43 @@ def _to_grid(k: int, flat: tuple[int, ...]) -> DigitGrid:
                                        for r in range(k)))
 
 
-def _shard_prefixes(k: int, workers: int, canonical: bool) -> list[tuple[int, ...]]:
-    """Normal-form prefixes in column-major order, one position deeper at a
-    time until every worker has several shards.  A single worker, and the
-    direct stream (which stops at its limit), get the one empty prefix."""
-    if workers <= 1 or not canonical:
-        return [()]
-    pinned = _pinned(k)
-    prefixes: list[tuple[int, ...]] = [()]
-    depth = 0
-    while len(prefixes) < 8 * workers and depth < k ** 3:
-        prefixes = [pre + (d,) for pre in prefixes
-                    for d in ((0,) if depth in pinned
-                              else range(min(k, max(pre) + 2)))]
+def _shard_prefixes(k: int, workers: int, canonical: bool,
+                    deadline: Optional[float] = None,
+                    ) -> tuple[list[tuple[int, ...]], int, bool]:
+    """States the normal-form kernel reaches, one position deeper at a time
+    until every worker has several shards: (states in cell order, nodes of
+    the tree above them, finished).  A single worker, and the direct stream
+    (which stops at its limit), get the one empty prefix."""
+    states: list[tuple[int, ...]] = [()]
+    nodes, finished, depth = 0, True, 0
+    while (canonical and workers > 1 and finished
+           and len(states) < 8 * workers and depth < k ** 3):
         depth += 1
-    return prefixes
+        # each pass starts at the root, so its nodes are the whole tree above
+        # its states and replace the shallower pass's
+        states, nodes, finished = _search_shard(k, (), None, deadline, True,
+                                                depth)
+    return states, nodes, finished
 
 
-def _run_shards(k: int, prefixes, limit, deadline, canonical, workers):
+def _run_shards(k: int, workers, limit, deadline, canonical):
+    prefixes, nodes, finished = _shard_prefixes(k, workers, canonical,
+                                                deadline)
     sols: list[tuple[int, ...]] = []
-    nodes = 0
-    finished = True
-    # count each prefix-tree node once: a shard skips the leading positions it
-    # shares with a shard earlier in the list
-    seen = {()}
-    shared = []
-    for pre in prefixes:
-        shared.append(max(i for i in range(len(pre) + 1) if pre[:i] in seen))
-        seen.update(pre[:i] for i in range(1, len(pre) + 1))
+    if not finished:  # the deadline cut the prefix pass: no shard starts
+        return sols, nodes, False
     if len(prefixes) == 1 or workers <= 1:
-        for pre, sh in zip(prefixes, shared):
-            s, n, done = _search_shard(k, pre, limit, deadline, canonical, sh)
-            sols.extend(s)
-            nodes += n
-            finished = finished and done
+        results = [_search_shard(k, pre, limit, deadline, canonical)
+                   for pre in prefixes]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_search_shard, k, pre, limit, deadline,
-                                   canonical, sh)
-                       for pre, sh in zip(prefixes, shared)]
-            for fut in futures:
-                s, n, done = fut.result()
-                nodes += n
-                finished = finished and done
-                sols.extend(s)
+                                   canonical) for pre in prefixes]
+            results = [fut.result() for fut in futures]
+    for s, n, done in results:
+        sols.extend(s)
+        nodes += n
+        finished = finished and done
     return sols, nodes, finished
 
 
@@ -362,10 +349,7 @@ def enumerate_l_arrays(cfg: SearchConfig,
     start = time.monotonic()
     deadline = start + cfg.time_budget if cfg.time_budget is not None else None
     k = cfg.k
-    use_canonical = cfg.limit is None
-    prefixes = _shard_prefixes(k, workers, use_canonical)
-
-    if use_canonical:
+    if cfg.limit is None:
         relabels = k if cfg.symmetry == "translations+relabel" else k - 1
         orbit_cells = k ** 6 * factorial(relabels)
         if orbit_cells > MAX_ORBIT_CELLS:
@@ -374,7 +358,7 @@ def enumerate_l_arrays(cfg: SearchConfig,
                 f"{orbit_cells} cells, over the limit of {MAX_ORBIT_CELLS}; "
                 f"only a solution limit bounds such a run")
         canon_flats, nodes, complete = _run_shards(
-            k, prefixes, None, deadline, True, workers)
+            k, workers, None, deadline, True)
         if not complete:
             # emit the construction's orbit: any member seeds the same orbit
             # and the same quotient representatives as its normal form
@@ -403,7 +387,7 @@ def enumerate_l_arrays(cfg: SearchConfig,
                      else _orbit_reps(k, seeds, cfg.symmetry))
     else:
         raw, nodes, complete = _run_shards(
-            k, prefixes, cfg.limit, deadline, False, workers)
+            k, workers, cfg.limit, deadline, False)
         raw_count = len(raw)
         out_flats = (raw if cfg.symmetry == "none"
                      else _orbit_reps(k, raw, cfg.symmetry))
@@ -442,18 +426,10 @@ def brute_filter(k: int) -> tuple[list[DigitGrid], SearchReport]:
 
 def canonicalize(g: DigitGrid, symmetry: str) -> DigitGrid:
     """Lexicographically least grid in the orbit of g under the chosen group."""
-    if symmetry == "none":
-        return g
     if symmetry not in SYMMETRIES:
         raise DomainError(f"unknown symmetry {symmetry!r}")
-    k = g.k
     flat = tuple(v for row in g.rows for v in row)
-    maps = _translation_maps(k)
-    if symmetry == "translations":
-        best = _translation_canonical(flat, maps)
-    else:
-        best = _relabel_canonical(flat, maps, list(permutations(range(k))))
-    return _to_grid(k, best)
+    return _to_grid(g.k, _orbit_reps(g.k, [flat], symmetry)[0])
 
 
 def orbit_count(solutions: Iterable[DigitGrid], symmetry: str,
@@ -468,10 +444,3 @@ def orbit_count(solutions: Iterable[DigitGrid], symmetry: str,
     flats = [tuple(v for row in g.rows for v in row) for g in sols]
     return len(_orbit_reps(sols[0].k, flats, symmetry))
 
-
-def default_workers() -> int:
-    """Worker count from DEBRUIJN_ARRAYS_WORKERS, defaulting to 1."""
-    try:
-        return max(1, int(os.environ.get("DEBRUIJN_ARRAYS_WORKERS", "1")))
-    except ValueError:
-        return 1

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import factorial
+from math import factorial, inf, lgamma, log, log10
 
 from .errors import BudgetError, DomainError
 from .verify import verify_sequence
@@ -23,6 +23,9 @@ from .verify import verify_sequence
 BRUTE_MAX_WORD_LEN = 12
 BRUTE_MAX_WORDS = 10 ** 8
 BEST_MAX_NODES = 64
+# Counts are printed in decimal, and CPython converts ints of at most this
+# many digits to str by default.
+MAX_COUNT_DIGITS = 4300
 
 
 @dataclass(frozen=True)
@@ -138,15 +141,30 @@ def _greedy_digits(k: int, n: int) -> list[int]:
 
 def count_formula(k: int, n: int) -> int:
     """Closed-form count of cyclic (k, n)-de Bruijn sequences: k!^(k^(n-1)) / k^n."""
-    if k < 2:
-        raise DomainError(f"alphabet size must be >= 2, got {k}")
-    if n < 1:
-        raise DomainError(f"window length must be >= 1, got {n}")
+    _check_count_args(k, n)
     numerator = factorial(k) ** (k ** (n - 1))
     q, rem = divmod(numerator, k ** n)
     if rem:
         raise AssertionError(f"count formula division inexact for (k={k}, n={n})")
     return q
+
+
+def _check_count_args(k: int, n: int) -> None:
+    """Refuse a (k, n) outside the domain, or whose count k!^(k^(n-1)) / k^n
+    has more than MAX_COUNT_DIGITS decimal digits, judged from logarithms
+    before any power is built."""
+    if k < 2:
+        raise DomainError(f"alphabet size must be >= 2, got {k}")
+    if n < 1:
+        raise DomainError(f"window length must be >= 1, got {n}")
+    try:
+        log10_count = (float(k) ** (n - 1) * lgamma(k + 1) / log(10)
+                       - n * log10(k))
+    except OverflowError:
+        log10_count = inf
+    if log10_count >= MAX_COUNT_DIGITS:
+        raise BudgetError(f"the (k={k}, n={n}) count has over "
+                          f"{MAX_COUNT_DIGITS} decimal digits")
 
 
 def count_brute(k: int, n: int) -> int:
@@ -156,9 +174,12 @@ def count_brute(k: int, n: int) -> int:
     (all rotations differ because all windows are distinct), so the raw
     pass count divides exactly by k^n.
     """
-    length = k ** n
-    if length > BRUTE_MAX_WORD_LEN or k ** length > BRUTE_MAX_WORDS:
+    # k^n > n for k >= 2, so capping the exponent at the budget keeps the
+    # word-length test exact without building a huge k^n
+    if (k ** min(n, BRUTE_MAX_WORD_LEN) > BRUTE_MAX_WORD_LEN
+            or k ** k ** n > BRUTE_MAX_WORDS):
         raise BudgetError(f"(k={k}, n={n}) exceeds the brute-force budget")
+    length = k ** n
     hits = 0
     for word in product(range(k), repeat=length):
         if verify_sequence(word, k, n).valid:
@@ -177,9 +198,10 @@ def count_best(k: int, n: int) -> int:
     against count_brute on (2,2) and (2,3): the raw BEST value already
     counts cyclic de Bruijn classes, so no extra normalization factor.
     """
+    _check_count_args(k, n)
     # refuse before build_graph lists the k^(n-1) nodes; k >= 2, so capping
     # the exponent at the budget keeps the comparison exact and cheap
-    if k >= 2 and n >= 1 and k ** min(n - 1, BEST_MAX_NODES) > BEST_MAX_NODES:
+    if k ** min(n - 1, BEST_MAX_NODES) > BEST_MAX_NODES:
         raise BudgetError(f"(k={k}, n={n}) needs a {k}^{n - 1}-node Laplacian, "
                           f"budget is {BEST_MAX_NODES}")
     g = build_graph(k, n)

@@ -95,6 +95,30 @@ class TestVerify:
                            "--shape", "torus", "2", "2", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("shape", [
+        ["cube"],                   # unknown kind
+        ["l-array", "5", "6"],      # extra tokens beside the input path
+        ["torus", "2"],             # missing a window dim
+        ["torus", "2", "x"],        # non-integer window dim
+        ["sequence"],               # missing the window length
+        ["sequence", "3", "4"],     # one token too many
+    ])
+    def test_malformed_shape_exit_2(self, tmp_path, capsys, shape):
+        path = tmp_path / "t.txt"
+        path.write_text("2\n0 0 1 0\n1 1 1 0\n0 1 1 1\n0 1 0 0\n")
+        code, out, err = run(capsys, "verify", "--k", "2", "--shape", *shape,
+                             str(path))
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+    def test_torus_k_mismatch_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        path.write_text("3\n0 0 1 0\n1 1 1 0\n0 1 1 1\n0 1 0 0\n")
+        code, out, err = run(capsys, "verify", "--k", "2",
+                             "--shape", "torus", "2", "2", str(path))
+        assert code == 2
+        assert out == "" and "declares k=3" in err
+
 
 class TestSequenceAndCount:
     def test_sequence_verifies(self, tmp_path, capsys):
@@ -132,6 +156,26 @@ class TestSequenceAndCount:
         code, _, err = run(capsys, "count", "--k", "2", "--n", "5", "--method", "brute")
         assert code == 2
         assert err
+
+    @pytest.mark.parametrize("method", ["formula", "best", "all"])
+    @pytest.mark.parametrize("k,n", [("2", "15"), ("4", "7"), ("2", "40"),
+                                     ("60", "2")])
+    def test_count_over_digit_limit_exit_2(self, capsys, method, k, n):
+        # each count has over 4 300 decimal digits, more than CPython prints
+        start = time.monotonic()
+        code, out, err = run(capsys, "count", "--k", k, "--n", n,
+                             "--method", method)
+        assert time.monotonic() - start < 1.0
+        assert code == 2
+        assert out == "" and "error:" in err and "Traceback" not in err
+        if method == "all":
+            assert err.count("note:") == 3  # every method skipped
+
+    def test_count_at_the_digit_limit_prints(self, capsys):
+        code, out, _ = run(capsys, "count", "--k", "2", "--n", "14",
+                           "--method", "all")
+        assert code == 0
+        assert int(out) == 2 ** (2 ** 13 - 14)
 
     def test_best_over_budget_exit_2_at_once(self, capsys):
         start = time.monotonic()

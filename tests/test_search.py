@@ -56,6 +56,36 @@ def group_images(g, symmetry):
     return images
 
 
+def construction_orbit(k):
+    """The construction's orbit under translations and zero-fixing
+    relabelings, sorted like a complete run's output."""
+    g = construct_l_array(k)
+    return sorted({relabel(translate(g, dr, dj), p)
+                   for dr in range(k) for dj in range(k * k)
+                   for p in permutations(range(k)) if p[0] == 0},
+                  key=lambda h: h.rows)
+
+
+def clashes(k, state):
+    """True when the cells a column-major state fills repeat an L filling,
+    or hold an adjacent horizontal or vertical pair value over k times."""
+    k2 = k * k
+    cell = {(i % k, i // k): d for i, d in enumerate(state)}
+    seen = [[], [], []]
+    for r in range(k):
+        for j in range(k2):
+            below, right = ((r + 1) % k, j), (r, (j + 1) % k2)
+            shapes = ([(r, j), below, ((r + 1) % k, (j + 1) % k2)],
+                      [(r, j), right], [(r, j), below])
+            for kind, cells in zip(seen, shapes):
+                if all(c in cell for c in cells):
+                    kind.append(tuple(cell[c] for c in cells))
+    windows, horizontal, vertical = seen
+    return (len(set(windows)) < len(windows)
+            or any(pairs.count(v) > k for pairs in (horizontal, vertical)
+                   for v in pairs))
+
+
 @pytest.fixture(scope="module")
 def k2_enumerated():
     return enumerate_l_arrays(SearchConfig(k=2))
@@ -193,11 +223,7 @@ class TestLimitsAndBudgets:
     @pytest.mark.parametrize("k", [3, 4])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_cut_run_emits_the_construction_orbit(self, k, workers):
-        g = construct_l_array(k)
-        orbit = sorted({relabel(translate(g, dr, dj), p)
-                        for dr in range(k) for dj in range(k * k)
-                        for p in permutations(range(k)) if p[0] == 0},
-                       key=lambda h: h.rows)
+        orbit = construction_orbit(k)
         assert len(orbit) == k ** 3 * factorial(k - 1)
         sols, report = enumerate_l_arrays(
             SearchConfig(k=k, time_budget=0.1), workers=workers)
@@ -209,6 +235,22 @@ class TestLimitsAndBudgets:
         flats = [tuple(v for row in h.rows for v in row) for h in orbit]
         assert reps == [search._to_grid(k, f) for f in
                         search._orbit_reps(k, flats, "translations")]
+
+    def test_deadline_before_sharding_emits_construction_orbit(
+            self, monkeypatch):
+        passes = []
+
+        def recorded(*args):
+            passes.append(shard_prefixes(*args))
+            return passes[-1]
+        shard_prefixes = search._shard_prefixes
+        monkeypatch.setattr(search, "_shard_prefixes", recorded)
+        monkeypatch.setattr(search, "ProcessPoolExecutor", None)  # no shards
+        sols, report = enumerate_l_arrays(
+            SearchConfig(k=3, time_budget=1e-9), workers=2)
+        assert passes == [([], 0, False)]  # the prefix pass was cut
+        assert not report.complete and report.orbit_count is None
+        assert sols == construction_orbit(3)
 
     def test_brute_filter_budget(self):
         with pytest.raises(BudgetError):
@@ -294,6 +336,35 @@ class TestDeterminismAndSharding:
         _, report = enumerate_l_arrays(SearchConfig(k=2), workers=workers)
         assert report.nodes_visited == k2_enumerated[1].nodes_visited
 
+    def test_shard_states_are_kernel_states(self):
+        # the kernel run to depth 7: 25 states, each a consistent partial
+        # normal form, where enumerating normal-form prefixes gave 41, 16 of
+        # them clashing at once
+        states, nodes, finished = search._shard_prefixes(3, 2, True)
+        assert finished and len(states) == 25 and nodes > 0
+        assert states == sorted(set(states))
+        assert {len(s) for s in states} == {7}
+        assert not any(clashes(3, s) for s in states)
+        assert search._shard_prefixes(3, 1, True) == ([()], 0, True)
+        assert search._shard_prefixes(3, 2, False) == ([()], 0, True)
+
+    def test_shards_cover_the_search_once(self):
+        # shards started from the states find every k=2 normal form once,
+        # and the node count does not change
+        whole, nodes, _ = search._search_shard(2, (), None, None, True)
+        for depth in range(1, 9):
+            states, prefix_nodes, _ = search._search_shard(
+                2, (), None, None, True, depth)
+            assert not any(clashes(2, s) for s in states)
+            found, shard_nodes = [], 0
+            for s in states:
+                sols, n, done = search._search_shard(2, s, None, None, True)
+                assert done
+                found += sols
+                shard_nodes += n
+            assert found == whole
+            assert prefix_nodes + shard_nodes == nodes
+
     def test_limited_run_node_count_independent_of_workers(self):
         # a limited run is one shard: extra workers do no extra search
         cfg = SearchConfig(k=3, limit=5)
@@ -310,7 +381,7 @@ def k3_enumerated():
 
 @pytest.mark.slow
 class TestK3:
-    """Full k=3 enumeration; several minutes of search."""
+    """Full k=3 enumeration; seconds of search per run."""
 
     def test_complete_and_fixture_membership(self, k3_enumerated):
         sols, report = k3_enumerated
@@ -328,6 +399,12 @@ class TestK3:
         shard = sum(1 for g in sols
                     if g.rows[0][0] == g.rows[0][1] == g.rows[0][2] == 0)
         assert shard == K3_DIRECT_SHARD_000
+
+    def test_three_workers_match_one(self, k3_enumerated):
+        sols, report = enumerate_l_arrays(SearchConfig(k=3), workers=3)
+        assert report.complete
+        assert report.nodes_visited == k3_enumerated[1].nodes_visited == 2_439_815
+        assert sols == k3_enumerated[0]
 
     def test_orbit_counts(self, k3_enumerated):
         sols, _ = k3_enumerated

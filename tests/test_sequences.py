@@ -122,6 +122,25 @@ class TestCounts:
             count_best(2, 8)  # 128-node Laplacian
         with pytest.raises(BudgetError):
             count_best(2, 40)  # 2^39 nodes
+        with pytest.raises(BudgetError):
+            count_brute(2, 10 ** 12)  # refused without building 2^(10^12)
+
+    @pytest.mark.parametrize("k,n", [
+        (2, 15), (4, 7), (2, 40), (60, 2),
+        pytest.param(2, 10 ** 12, id="2-10^12"),
+        pytest.param(10 ** 400, 1, id="10^400-1")])
+    def test_count_digit_limit(self, k, n):
+        # counts over MAX_COUNT_DIGITS are refused before any power is built
+        for count in (count_formula, count_best):
+            with pytest.raises(BudgetError):
+                count(k, n)
+
+    @pytest.mark.parametrize("k,n", [(2, 14), (4, 6), (50, 2)])
+    def test_counts_under_digit_limit_print(self, k, n):
+        count = count_formula(k, n)
+        assert 1000 < len(str(count)) <= sequences.MAX_COUNT_DIGITS
+        if k ** (n - 1) <= sequences.BEST_MAX_NODES:
+            assert count_best(k, n) == count
 
     def test_domain(self):
         with pytest.raises(DomainError):
