@@ -12,14 +12,22 @@ are exposed here as checkable relations on a constructed grid:
 
 from __future__ import annotations
 
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 from .grid import DigitGrid
+
+# Cells of the largest grid construct_l_array builds: k^3 <= 2^21 admits
+# k <= 128 (about 50 MB in memory), and refuses larger grids before any
+# cell is made.
+MAX_CONSTRUCT_CELLS = 1 << 21
 
 
 def construct_l_array(k: int) -> DigitGrid:
     """Build the k x k^2 grid with entry (s + r*c) mod k at row r, column s*k + c."""
     if k < 2:
         raise DomainError(f"alphabet size must be >= 2, got {k}")
+    if k ** 3 > MAX_CONSTRUCT_CELLS:
+        raise BudgetError(f"the k={k} grid has {k ** 3} cells, over the "
+                          f"limit of {MAX_CONSTRUCT_CELLS}")
     return DigitGrid(k, (tuple((s + r * c) % k
                                for s in range(k) for c in range(k))
                          for r in range(k)))

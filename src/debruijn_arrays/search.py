@@ -36,7 +36,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import factorial, isfinite
 from typing import Iterable, Optional
 
@@ -47,10 +47,12 @@ from .verify import verify_l_array
 
 SYMMETRIES = ("none", "translations", "translations+relabel")
 # Cells that a complete run may build or read for one orbit: k^3 * (k-1)!
-# grids of k^3 cells when it expands the orbit or reduces it under
-# translations, k^3 * k! grid images under translations+relabel.  Admits
-# k <= 7 (84.7 M) and k <= 6 with relabel (33.6 M); refuses k >= 8 (1.32 G)
-# and k = 7 with relabel (593 M), which no small machine holds or finishes.
+# grids of k^3 cells when it expands the orbit.  The quotients are charged
+# the cells of every image of every grid they reduce: k^6 * (k-1)! under
+# translations, k^6 * k! under translations+relabel.  The reduction filters
+# translations cell by cell and reads far fewer, so for them the charge is a
+# conservative bound.  Admits k <= 7 (84.7 M) and k <= 6 with relabel
+# (33.6 M); refuses k >= 8 (1.32 G) and k = 7 with relabel (593 M).
 MAX_ORBIT_CELLS = 100_000_000
 
 
@@ -91,9 +93,11 @@ class SearchReport:
         }
 
 
-def _closing_checks(k: int, order: list[int]) -> list[list[tuple[int, ...]]]:
+def _closing_checks(k: int, order: list[int], deadline: Optional[float],
+                    ) -> Optional[list[list[tuple[int, ...]]]]:
     """For each position of `order` (flat cell indices), the ledger entries
-    that become known once that position is assigned.
+    that become known once that position is assigned; None when the
+    deadline passes while they are built (checked once per grid row).
 
     Each entry (base, x, wx, y, wy, w) names the ledger slot
     base + vals[x]*wx + vals[y]*wy + digit*w, where digit is the value of
@@ -108,6 +112,8 @@ def _closing_checks(k: int, order: list[int]) -> list[list[tuple[int, ...]]]:
         pos[cell] = i
     checks: list[list[tuple[int, ...]]] = [[] for _ in order]
     for r in range(k):
+        if deadline is not None and time.monotonic() > deadline:
+            return None
         for j in range(k2):
             a = r * k2 + j
             b = ((r + 1) % k) * k2 + j
@@ -153,7 +159,9 @@ def _search_shard(k: int,
     end = n if stop is None else stop
     order = ([(i % k) * k2 + i // k for i in range(n)] if canonical
              else list(range(n)))
-    checks = _closing_checks(k, order)
+    checks = _closing_checks(k, order, deadline)
+    if checks is None:  # the deadline passed while the tables were built
+        return [], 0, False
     room = [1] * k ** 3 + [k] * (2 * k2)
     vals = [0] * n  # row-major, like the solutions
     # digits tried at each position lie below its cap; a normal form pins
@@ -257,14 +265,32 @@ def _zero_fixing_perms(k: int) -> list[tuple[int, ...]]:
 
 def _translation_canonical(flat: tuple[int, ...],
                            maps: list[tuple[int, ...]]) -> tuple[int, ...]:
-    return min(tuple(flat[i] for i in mp) for mp in maps)
+    """Least translated image of flat, found cell by cell: at each position
+    keep only the maps whose image holds the least digit there, until one
+    map is left; maps still tied when the positions run out give equal
+    images."""
+    cands = maps
+    for p in range(len(flat)):
+        if len(cands) == 1:
+            break
+        here = [flat[mp[p]] for mp in cands]
+        least = min(here)
+        cands = [mp for mp, v in zip(cands, here) if v == least]
+    return tuple(flat[i] for i in cands[0])
 
 
-def _relabel_canonical(flat: tuple[int, ...], maps: list[tuple[int, ...]],
-                       perms: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """Least image of flat under every translation and digit relabeling."""
-    return min(_translation_canonical(tuple(perm[v] for v in flat), maps)
-               for perm in perms)
+def _first_occurrence(seq: tuple[int, ...]) -> tuple[int, ...]:
+    """Least relabeling of seq: its first digit becomes 0, the next new
+    digit 1, and so on."""
+    labels: dict[int, int] = {}
+    return tuple(labels.setdefault(v, len(labels)) for v in seq)
+
+
+def _relabel_canonical(flat: tuple[int, ...],
+                       maps: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Least image of flat under every translation and digit relabeling:
+    the least first-occurrence form of its translated images."""
+    return min(_first_occurrence(tuple(flat[i] for i in mp)) for mp in maps)
 
 
 def _orbit_reps(k: int, flats: Iterable[tuple[int, ...]],
@@ -282,8 +308,12 @@ def _orbit_reps(k: int, flats: Iterable[tuple[int, ...]],
     tcanon = {_translation_canonical(f, maps) for f in flats}
     if symmetry == "translations":
         return sorted(tcanon)
-    perms = list(permutations(range(k)))
-    return sorted({_relabel_canonical(f, maps, perms) for f in tcanon})
+    return sorted({_relabel_canonical(f, maps) for f in tcanon})
+
+
+def _flat(g: DigitGrid) -> tuple[int, ...]:
+    """The grid's cells in row-major order."""
+    return tuple(chain.from_iterable(g.rows))
 
 
 def _to_grid(k: int, flat: tuple[int, ...]) -> DigitGrid:
@@ -362,8 +392,7 @@ def enumerate_l_arrays(cfg: SearchConfig,
         if not complete:
             # emit the construction's orbit: any member seeds the same orbit
             # and the same quotient representatives as its normal form
-            g = construct_l_array(k)
-            canon_flats = [tuple(v for row in g.rows for v in row)]
+            canon_flats = [_flat(construct_l_array(k))]
         maps = _translation_maps(k)
         perms = _zero_fixing_perms(k)
         seeds: list[tuple[int, ...]] = []
@@ -428,8 +457,7 @@ def canonicalize(g: DigitGrid, symmetry: str) -> DigitGrid:
     """Lexicographically least grid in the orbit of g under the chosen group."""
     if symmetry not in SYMMETRIES:
         raise DomainError(f"unknown symmetry {symmetry!r}")
-    flat = tuple(v for row in g.rows for v in row)
-    return _to_grid(g.k, _orbit_reps(g.k, [flat], symmetry)[0])
+    return _to_grid(g.k, _orbit_reps(g.k, [_flat(g)], symmetry)[0])
 
 
 def orbit_count(solutions: Iterable[DigitGrid], symmetry: str,
@@ -441,6 +469,5 @@ def orbit_count(solutions: Iterable[DigitGrid], symmetry: str,
     sols = list(solutions)
     if not sols:
         return 0
-    flats = [tuple(v for row in g.rows for v in row) for g in sols]
-    return len(_orbit_reps(sols[0].k, flats, symmetry))
+    return len(_orbit_reps(sols[0].k, [_flat(g) for g in sols], symmetry))
 

@@ -23,6 +23,9 @@ from .verify import verify_sequence
 BRUTE_MAX_WORD_LEN = 12
 BRUTE_MAX_WORDS = 10 ** 8
 BEST_MAX_NODES = 64
+# Longest word generate_sequence writes: k^n <= 2^18 digits admits (2, 18)
+# and (3, 11), and refuses larger words before the graph is built.
+MAX_WORD_LEN = 1 << 18
 # Counts are printed in decimal, and CPython converts ints of at most this
 # many digits to str by default.
 MAX_COUNT_DIGITS = 4300
@@ -69,6 +72,11 @@ def generate_sequence(k: int, n: int, method: str = "euler") -> str:
         raise DomainError(f"alphabet size must be >= 2, got {k}")
     if n < 1:
         raise DomainError(f"window length must be >= 1, got {n}")
+    # k >= 2, so capping the exponent keeps the test exact without building
+    # a huge k^n
+    if k ** min(n, MAX_WORD_LEN.bit_length()) > MAX_WORD_LEN:
+        raise BudgetError(f"the (k={k}, n={n}) word has {k}^{n} digits, over "
+                          f"the limit of {MAX_WORD_LEN}")
     if method == "euler":
         digits = _euler_digits(k, n)
     elif method == "greedy":

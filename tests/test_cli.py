@@ -30,6 +30,11 @@ class TestConstruct:
         assert code == 2
         assert err
 
+    def test_oversized_grid_exit_2(self, capsys):
+        code, out, err = run(capsys, "construct", "--k", "3000")
+        assert code == 2 and not out
+        assert "error:" in err
+
     def test_k3_json_roundtrip(self, capsys):
         code, out, _ = run(capsys, "construct", "--k", "3", "--format", "json")
         assert code == 0
@@ -134,6 +139,13 @@ class TestSequenceAndCount:
     def test_sequence_greedy_domain_exit_2(self, capsys, k, n):
         code, out, err = run(capsys, "sequence", "--k", k, "--n", n,
                              "--method", "greedy")
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("method", ["euler", "greedy"])
+    def test_sequence_over_budget_exit_2(self, capsys, method):
+        code, out, err = run(capsys, "sequence", "--k", "2", "--n", "40",
+                             "--method", method)
         assert code == 2
         assert out == "" and err.startswith("error:")
 

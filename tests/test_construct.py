@@ -1,9 +1,11 @@
+import time
+
 import pytest
 
-from debruijn_arrays.construct import (check_column_relation,
+from debruijn_arrays.construct import (MAX_CONSTRUCT_CELLS, check_column_relation,
                                        check_diagonal_relation,
                                        construct_l_array)
-from debruijn_arrays.errors import DomainError
+from debruijn_arrays.errors import BudgetError, DomainError
 from debruijn_arrays.grid import DigitGrid
 from debruijn_arrays.verify import verify_l_array
 
@@ -37,6 +39,15 @@ def test_k_below_two_rejected():
         construct_l_array(1)
     with pytest.raises(DomainError):
         construct_l_array(0)
+
+
+def test_oversized_grid_refused_before_building():
+    # k=3000 is 2.7e10 cells, far beyond memory
+    assert 64 ** 3 <= MAX_CONSTRUCT_CELLS < 3000 ** 3
+    start = time.monotonic()
+    with pytest.raises(BudgetError):
+        construct_l_array(3000)
+    assert time.monotonic() - start < 0.1
 
 
 @pytest.mark.parametrize("k", range(2, 13))

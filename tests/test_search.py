@@ -4,6 +4,7 @@ from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from debruijn_arrays import search
 from debruijn_arrays.construct import construct_l_array
@@ -54,6 +55,32 @@ def group_images(g, symmetry):
             images.extend(moved if p is None else relabel(moved, p)
                           for p in perms)
     return images
+
+
+def tie_heavy_rows(k):
+    """Rows of a k x k^2 grid with many tied translations: a random grid, a
+    constant one, all rows equal, or rows periodic with a period that
+    divides k^2."""
+    k2 = k * k
+    digit = st.integers(0, k - 1)
+    row = st.lists(digit, min_size=k2, max_size=k2)
+    periodic_row = st.sampled_from(
+        [d for d in range(1, k2 + 1) if k2 % d == 0]).flatmap(
+        lambda d: st.lists(digit, min_size=d, max_size=d).map(
+            lambda block: block * (k2 // d)))
+    return st.one_of(st.lists(row, min_size=k, max_size=k),
+                     digit.map(lambda v: [[v] * k2] * k),
+                     row.map(lambda r: [r] * k),
+                     st.lists(periodic_row, min_size=k, max_size=k))
+
+
+class CountingCells(tuple):
+    """A flat grid that counts the cells read from it."""
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
 
 
 def construction_orbit(k):
@@ -220,6 +247,16 @@ class TestLimitsAndBudgets:
             SearchConfig(k=10, limit=1, time_budget=1.0))
         assert not report.complete
 
+    def test_deadline_cuts_the_closing_tables(self):
+        # at k=64 the kernel's 3k^3-entry tables take seconds to build, so
+        # the deadline is checked while they are built
+        _, report = enumerate_l_arrays(
+            SearchConfig(k=64, limit=1, time_budget=0.3))
+        assert not report.complete
+        assert report.elapsed < 1.0
+        order = list(range(64 ** 3))
+        assert search._closing_checks(64, order, time.monotonic() - 1) is None
+
     @pytest.mark.parametrize("k", [3, 4])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_cut_run_emits_the_construction_orbit(self, k, workers):
@@ -301,6 +338,41 @@ class TestSymmetry:
         for g in samples:
             expected = min(group_images(g, symmetry), key=lambda h: h.rows)
             assert canonicalize(g, symmetry) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([3, 4]).flatmap(
+               lambda k: tie_heavy_rows(k).map(lambda rows: DigitGrid(k, rows))),
+           st.sampled_from(["translations", "translations+relabel"]))
+    def test_canonicalize_is_least_image_of_any_grid(self, g, symmetry):
+        # tied translations leave several candidate maps to the end
+        expected = min(group_images(g, symmetry), key=lambda h: h.rows)
+        assert canonicalize(g, symmetry) == expected
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_translation_reduction_reads_few_cells(self, k):
+        # the images of a valid grid differ early, so the cell-by-cell filter
+        # reads about 2k^3 cells, against k^6 to build and compare all k^3
+        # images
+        maps = search._translation_maps(k)
+        g = construct_l_array(k)
+        for perm in (range(k), range(k - 1, -1, -1)):
+            flat = CountingCells(perm[v] for v in search._flat(g))
+            search._translation_canonical(flat, maps)
+            assert flat.reads <= 3 * k ** 3
+
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_relabel_reduction_builds_one_image_per_translation(
+            self, monkeypatch, k):
+        built = []
+        first_occurrence = search._first_occurrence
+
+        def counted(seq):
+            built.append(seq)
+            return first_occurrence(seq)
+        monkeypatch.setattr(search, "_first_occurrence", counted)
+        flat = search._flat(construct_l_array(k))
+        reps = search._orbit_reps(k, [flat], "translations+relabel")
+        assert len(reps) == 1 and len(built) == k ** 3
 
     def test_canonicalize_unknown_symmetry(self):
         with pytest.raises(DomainError):

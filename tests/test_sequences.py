@@ -79,6 +79,21 @@ class TestGenerate:
         with pytest.raises(DomainError):
             generate_sequence(k, n, method)
 
+    @pytest.mark.parametrize("method", ["euler", "greedy"])
+    @pytest.mark.parametrize("k,n", [(2, 40), (2, 19), (3, 12),
+                                     pytest.param(2, 10 ** 12, id="2-10^12")])
+    def test_oversized_word_refused_before_the_graph(self, monkeypatch, k, n,
+                                                     method):
+        def refuse(*args):
+            raise AssertionError("the graph must not be built")
+        monkeypatch.setattr(sequences, "build_graph", refuse)
+        with pytest.raises(BudgetError):
+            generate_sequence(k, n, method)
+
+    @pytest.mark.parametrize("k,n", [(2, 16), (3, 2), (2, 6)])
+    def test_benchmarked_words_admitted(self, k, n):
+        assert len(parse_word(generate_sequence(k, n), k)) == k ** n
+
     def test_unknown_method(self):
         with pytest.raises(DomainError):
             generate_sequence(2, 3, "magic")
