@@ -7,8 +7,8 @@ column, then expanding each normal form back to its full orbit, so the
 output is exactly the set a naive search would produce.
 
 For k=2 the result is checked against a literal filter over all 256 grids.
-For k=3 this demo shows the first solutions of the row-major lexicographic
-stream that a solution limit selects; for k=4 it shows a time-budgeted
+For k=3 this demo shows the first solutions of the first orbit the search
+finds, as a solution limit selects them; for k=4 it shows a time-budgeted
 partial run that still emits verified solutions plus an honest
 complete=False report.
 """
@@ -34,7 +34,7 @@ def main() -> None:
     for g in reps:
         print("    " + " | ".join(" ".join(map(str, row)) for row in g.rows))
 
-    # k=3: just the first few solutions from the lexicographic stream.
+    # k=3: just the first few solutions of the first orbit found.
     sols, report = enumerate_l_arrays(SearchConfig(k=3, limit=3))
     print(f"\nk=3: first {len(sols)} solutions "
           f"(complete={report.complete}); all verify:",

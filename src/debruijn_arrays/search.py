@@ -16,15 +16,15 @@ appearing in ascending order along the columns - and expanding each hit by
 all k*k^2 translations and (k-1)! zero-fixing relabelings therefore recovers
 every raw solution exactly once, at roughly 1/(k^3 * (k-1)!) of the search
 cost.  Normal forms are searched in column-major order, where every cell
-from the second column on closes windows.  A complete run whose search the
-deadline cuts emits one orbit, that of the closed-form construction
+from the second column on closes windows.  A run whose search the deadline
+cuts emits one orbit, that of the closed-form construction
 (construct_l_array), the one solution known without searching; a finished
 search whose expansion overruns the deadline stops at the next orbit
 boundary, having emitted at least one.
 
-Runs bounded by a solution limit search every grid in row-major order with
-ascending digits, so they stream solutions in lexicographic order of their
-serialized form, as a prefix of the complete run's output.
+A run bounded by a solution limit takes the same path: its search stops
+after enough normal forms to cover the limit, and it emits the first
+`limit` grids of their sorted output.
 
 The normal-form search can be sharded on states the kernel reached, found
 by running it to a fixed depth; shards are independent and merged in state
@@ -37,7 +37,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, permutations, product
-from math import factorial, isfinite
+from math import isfinite
 from typing import Iterable, Optional
 
 from .construct import construct_l_array
@@ -46,7 +46,7 @@ from .grid import DigitGrid
 from .verify import verify_l_array
 
 SYMMETRIES = ("none", "translations", "translations+relabel")
-# Cells that a complete run may build or read for one orbit: k^3 * (k-1)!
+# Cells that a run may build or read for one orbit: k^3 * (k-1)!
 # grids of k^3 cells when it expands the orbit.  The quotients are charged
 # the cells of every image of every grid they reduce: k^6 * (k-1)! under
 # translations, k^6 * k! under translations+relabel.  The reduction filters
@@ -93,11 +93,9 @@ class SearchReport:
         }
 
 
-def _closing_checks(k: int, order: list[int], deadline: Optional[float],
-                    ) -> Optional[list[list[tuple[int, ...]]]]:
+def _closing_checks(k: int, order: list[int]) -> list[list[tuple[int, ...]]]:
     """For each position of `order` (flat cell indices), the ledger entries
-    that become known once that position is assigned; None when the
-    deadline passes while they are built (checked once per grid row).
+    that become known once that position is assigned.
 
     Each entry (base, x, wx, y, wy, w) names the ledger slot
     base + vals[x]*wx + vals[y]*wy + digit*w, where digit is the value of
@@ -112,8 +110,6 @@ def _closing_checks(k: int, order: list[int], deadline: Optional[float],
         pos[cell] = i
     checks: list[list[tuple[int, ...]]] = [[] for _ in order]
     for r in range(k):
-        if deadline is not None and time.monotonic() > deadline:
-            return None
         for j in range(k2):
             a = r * k2 + j
             b = ((r + 1) % k) * k2 + j
@@ -136,39 +132,35 @@ def _search_shard(k: int,
                   prefix: tuple[int, ...],
                   limit: Optional[int],
                   deadline: Optional[float],
-                  canonical: bool = False,
                   stop: Optional[int] = None,
                   ) -> tuple[list[tuple[int, ...]], int, bool]:
-    """Exhaust one shard: positions 0..len(prefix)-1 of the cell order fixed.
+    """Exhaust one shard of the normal-form search: positions
+    0..len(prefix)-1 of the column-major cell order fixed.
 
-    Canonical shards search normal forms in column-major order; the direct
-    stream searches every grid in row-major order.  Both try digits in
-    ascending order.  Returns (solutions as row-major flat digit tuples,
-    nodes visited, finished); finished is False when a limit or deadline cut
-    the shard short.  A shard whose deadline has already passed returns at
-    once, unfinished, so shards queued behind a cut one do no work.  A node
-    is one digit tried at one position; the prefix, a state this kernel
-    reached, is replayed without counting nodes.  Given a `stop` position,
-    the search ends there and returns the states it reaches, as prefixes
-    (digits in cell order), instead of solutions.
+    Digits are tried in ascending order.  Returns (normal forms as row-major
+    flat digit tuples, nodes visited, finished); finished is False when a
+    limit of normal forms or the deadline cut the shard short.  A shard
+    whose deadline has already passed returns at once, unfinished, so shards
+    queued behind a cut one do no work.  A node is one digit tried at one
+    position; the prefix, a state this kernel reached, is replayed without
+    counting nodes.  Given a `stop` position, the search ends there and
+    returns the states it reaches, as prefixes (digits in cell order),
+    instead of normal forms.
     """
     if deadline is not None and time.monotonic() > deadline:
         return [], 0, False
     k2 = k * k
     n = k * k2
     end = n if stop is None else stop
-    order = ([(i % k) * k2 + i // k for i in range(n)] if canonical
-             else list(range(n)))
-    checks = _closing_checks(k, order, deadline)
-    if checks is None:  # the deadline passed while the tables were built
-        return [], 0, False
+    order = [(i % k) * k2 + i // k for i in range(n)]
+    checks = _closing_checks(k, order)
     room = [1] * k ** 3 + [k] * (2 * k2)
     vals = [0] * n  # row-major, like the solutions
     # digits tried at each position lie below its cap; a normal form pins
     # the (0,0,0) L at anchor (0,0): cells (0,0), (1,0) and (1,1), at
     # column-major positions 0, 1 and k+1
     cap = [k] * n
-    for p in ((0, 1, k + 1) if canonical else ()):
+    for p in (0, 1, k + 1):
         cap[p] = 1
     # largest digit before each position: a normal form's next new digit
     # is at most one more
@@ -205,9 +197,8 @@ def _search_shard(k: int,
     since_check = 0
     while i >= start:
         if i < end:
-            top = min(cap[i], maxu[i] + 2) if canonical else k
             placed = False
-            for digit in range(nxt[i], top):
+            for digit in range(nxt[i], min(cap[i], maxu[i] + 2)):
                 nodes += 1
                 if claim(i, digit):
                     placed = True
@@ -322,38 +313,34 @@ def _to_grid(k: int, flat: tuple[int, ...]) -> DigitGrid:
                                        for r in range(k)))
 
 
-def _shard_prefixes(k: int, workers: int, canonical: bool,
-                    deadline: Optional[float] = None,
+def _shard_prefixes(k: int, workers: int, deadline: Optional[float] = None,
                     ) -> tuple[list[tuple[int, ...]], int, bool]:
     """States the normal-form kernel reaches, one position deeper at a time
     until every worker has several shards: (states in cell order, nodes of
-    the tree above them, finished).  A single worker, and the direct stream
-    (which stops at its limit), get the one empty prefix."""
+    the tree above them, finished).  A single worker gets the one empty
+    prefix."""
     states: list[tuple[int, ...]] = [()]
     nodes, finished, depth = 0, True, 0
-    while (canonical and workers > 1 and finished
-           and len(states) < 8 * workers and depth < k ** 3):
+    while (workers > 1 and finished and len(states) < 8 * workers
+           and depth < k ** 3):
         depth += 1
         # each pass starts at the root, so its nodes are the whole tree above
         # its states and replace the shallower pass's
-        states, nodes, finished = _search_shard(k, (), None, deadline, True,
-                                                depth)
+        states, nodes, finished = _search_shard(k, (), None, deadline, depth)
     return states, nodes, finished
 
 
-def _run_shards(k: int, workers, limit, deadline, canonical):
-    prefixes, nodes, finished = _shard_prefixes(k, workers, canonical,
-                                                deadline)
+def _run_shards(k: int, workers, limit, deadline):
+    prefixes, nodes, finished = _shard_prefixes(k, workers, deadline)
     sols: list[tuple[int, ...]] = []
     if not finished:  # the deadline cut the prefix pass: no shard starts
         return sols, nodes, False
     if len(prefixes) == 1 or workers <= 1:
-        results = [_search_shard(k, pre, limit, deadline, canonical)
-                   for pre in prefixes]
+        results = [_search_shard(k, pre, limit, deadline) for pre in prefixes]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_search_shard, k, pre, limit, deadline,
-                                   canonical) for pre in prefixes]
+            futures = [pool.submit(_search_shard, k, pre, limit, deadline)
+                       for pre in prefixes]
             results = [fut.result() for fut in futures]
     for s, n, done in results:
         sols.extend(s)
@@ -370,56 +357,63 @@ def enumerate_l_arrays(cfg: SearchConfig,
     the list holds one canonical representative per orbit.  Output is
     identical for any worker count.
 
-    Complete runs go through the normal-form search plus orbit expansion;
-    runs bounded by a solution limit fall back to the direct lexicographic
-    stream, in one shard, so the first solutions appear without exhausting
-    the space.  Raises BudgetError before searching when a complete run
-    would have to build or read more than MAX_ORBIT_CELLS cells per orbit.
+    Every run goes through the normal-form search plus orbit expansion.  A
+    run bounded by a solution limit searches in one shard and stops after
+    ceil(limit / (k^3 * (k-1)!)) normal forms, enough orbits to hold the
+    limit; it emits the first `limit` grids (or representatives) of their
+    sorted output.  Raises BudgetError before searching when a run would
+    have to build or read more than MAX_ORBIT_CELLS cells per orbit.
     """
     start = time.monotonic()
     deadline = start + cfg.time_budget if cfg.time_budget is not None else None
     k = cfg.k
-    if cfg.limit is None:
-        relabels = k if cfg.symmetry == "translations+relabel" else k - 1
-        orbit_cells = k ** 6 * factorial(relabels)
+    relabels = k if cfg.symmetry == "translations+relabel" else k - 1
+    # k^6 * relabels!, multiplied out only until it passes the limit, so a
+    # huge k is refused at once
+    orbit_cells = k ** 6
+    for f in range(2, relabels + 1):
         if orbit_cells > MAX_ORBIT_CELLS:
-            raise BudgetError(
-                f"one orbit at k={k} under symmetry {cfg.symmetry!r} costs "
-                f"{orbit_cells} cells, over the limit of {MAX_ORBIT_CELLS}; "
-                f"only a solution limit bounds such a run")
-        canon_flats, nodes, complete = _run_shards(
-            k, workers, None, deadline, True)
-        if not complete:
-            # emit the construction's orbit: any member seeds the same orbit
-            # and the same quotient representatives as its normal form
-            canon_flats = [_flat(construct_l_array(k))]
-        maps = _translation_maps(k)
-        perms = _zero_fixing_perms(k)
-        seeds: list[tuple[int, ...]] = []
-        kept = 0
-        for flat in canon_flats:
-            # the budget covers expansion too: after the deadline a finished
-            # search stops at an orbit boundary, having emitted at least one
-            if kept and deadline is not None and time.monotonic() > deadline:
-                complete = False
-                break
-            kept += 1
-            if cfg.symmetry == "none":
-                seeds.extend(_expand_orbit(k, flat, maps, perms))
-            elif cfg.symmetry == "translations":
-                # relabel images seed distinct translation orbits
-                seeds.extend(tuple(perm[v] for v in flat) for perm in perms)
-            else:
-                seeds.append(flat)
-        raw_count = kept * len(maps) * len(perms)
-        out_flats = (sorted(seeds) if cfg.symmetry == "none"
-                     else _orbit_reps(k, seeds, cfg.symmetry))
-    else:
-        raw, nodes, complete = _run_shards(
-            k, workers, cfg.limit, deadline, False)
-        raw_count = len(raw)
-        out_flats = (raw if cfg.symmetry == "none"
-                     else _orbit_reps(k, raw, cfg.symmetry))
+            break
+        orbit_cells *= f
+    if orbit_cells > MAX_ORBIT_CELLS:
+        raise BudgetError(
+            f"one orbit at k={k} under symmetry {cfg.symmetry!r} costs at "
+            f"least {orbit_cells} cells, over the limit of {MAX_ORBIT_CELLS}")
+    maps = _translation_maps(k)
+    perms = _zero_fixing_perms(k)
+    orbit = len(maps) * len(perms)
+    forms = None
+    if cfg.limit is not None:
+        # one shard, so the first orbits found do not depend on the workers
+        forms, workers = -(-cfg.limit // orbit), 1
+    canon_flats, nodes, complete = _run_shards(k, workers, forms, deadline)
+    if not complete and len(canon_flats) != forms:
+        # the deadline cut the search: emit the construction's orbit; any
+        # member seeds the same orbit and the same quotient representatives
+        # as its normal form
+        canon_flats = [_flat(construct_l_array(k))]
+    seeds: list[tuple[int, ...]] = []
+    kept = 0
+    for flat in canon_flats:
+        # the budget covers expansion too: after the deadline a finished
+        # search stops at an orbit boundary, having emitted at least one
+        if kept and deadline is not None and time.monotonic() > deadline:
+            complete = False
+            break
+        kept += 1
+        if cfg.symmetry == "none":
+            seeds.extend(_expand_orbit(k, flat, maps, perms))
+        elif cfg.symmetry == "translations":
+            # relabel images seed distinct translation orbits
+            seeds.extend(tuple(perm[v] for v in flat) for perm in perms)
+        else:
+            seeds.append(flat)
+    raw_count = kept * orbit
+    out_flats = (sorted(seeds) if cfg.symmetry == "none"
+                 else _orbit_reps(k, seeds, cfg.symmetry))
+    if cfg.limit is not None:
+        raw_count = min(cfg.limit, raw_count)
+        out_flats = out_flats[:cfg.limit]
     orbits = None
     if complete:
         orbits = raw_count if cfg.symmetry == "none" else len(out_flats)

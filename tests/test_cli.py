@@ -11,6 +11,7 @@ from debruijn_arrays import cli
 from debruijn_arrays.cli import main
 from debruijn_arrays.construct import construct_l_array
 from debruijn_arrays.grid import DigitGrid
+from debruijn_arrays.verify import verify_l_array
 
 
 def run(capsys, *argv):
@@ -255,14 +256,26 @@ class TestEnumerate:
         assert code == 2
         assert out == "" and err.startswith("error:")
 
-    @pytest.mark.parametrize("k", ["9", "10"])
-    def test_orbit_too_large_exit_2(self, capsys, k):
+    def test_k4_limit_1_emits_a_grid_at_once(self, capsys):
         start = time.monotonic()
-        code, out, err = run(capsys, "enumerate", "--k", k,
-                             "--time-budget", "1")
+        code, out, err = run(capsys, "enumerate", "--k", "4", "--limit", "1")
         assert time.monotonic() - start < 1.0
-        assert code == 2
-        assert out == "" and err.startswith("error:")
+        assert code == 3
+        assert json.loads(err.strip().splitlines()[-1])["raw_count"] == 1
+        blocks = out.strip().split("\n\n")
+        assert len(blocks) == 1
+        assert verify_l_array(DigitGrid.from_text(blocks[0] + "\n")).valid
+
+    @pytest.mark.parametrize("k", ["9", "10", "200", "2000"])
+    def test_orbit_too_large_exit_2(self, capsys, k):
+        # the guard holds whether or not a solution limit bounds the run
+        for limit in ([], ["--limit", "1"]):
+            start = time.monotonic()
+            code, out, err = run(capsys, "enumerate", "--k", k,
+                                 "--time-budget", "1", *limit)
+            assert time.monotonic() - start < 1.0
+            assert code == 2
+            assert out == "" and err.startswith("error:")
 
     @pytest.mark.parametrize("k,symmetry", [("8", "translations"),
                                             ("7", "translations+relabel")])

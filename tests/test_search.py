@@ -29,8 +29,8 @@ K2_RAW = 16
 K2_TRANSLATION_ORBITS = 2
 
 # Frozen k=3 ground truth.  The raw count comes from the normal-form search
-# plus orbit expansion and is cross-checked against a direct (no symmetry
-# reduction) run of the row-major backtracker on the subtree with the first
+# plus orbit expansion and was cross-checked against a direct (no symmetry
+# reduction) row-major backtracking search of the subtree with the first
 # three cells fixed to zero.  Translations act freely, so the translation
 # orbit count is exactly K3_RAW / 27; the combined translation+relabel
 # action has stabilizers (1250 > 198288 / 162 = 1224).
@@ -192,10 +192,23 @@ class TestLimitsAndBudgets:
         assert report.orbit_count is None
         assert all(verify_l_array(g).valid for g in sols)
 
-    def test_limit_prefix_of_full_stream(self, k2_enumerated):
+    def test_limit_emits_the_first_orbit_sorted(self, k2_enumerated):
+        # limit 8 is one orbit at k=2 (2*4 translations, 1 relabeling): the
+        # run stops at the first normal form and emits its whole orbit
         full, _ = k2_enumerated
-        first, report = enumerate_l_arrays(SearchConfig(k=2, limit=3))
-        assert first == full[:3]
+        sols, report = enumerate_l_arrays(SearchConfig(k=2, limit=8))
+        assert len(sols) == report.raw_count == 8
+        assert set(sols) == {translate(sols[0], dr, dj)
+                             for dr in range(2) for dj in range(4)}
+        assert [g.rows for g in sols] == sorted(g.rows for g in sols)
+        assert set(sols) <= set(full)
+        assert not report.complete and report.orbit_count is None
+
+    def test_k5_limited_run_finds_a_grid(self):
+        sols, report = enumerate_l_arrays(
+            SearchConfig(k=5, limit=1, time_budget=5.0))
+        assert len(sols) == report.raw_count == 1
+        assert verify_l_array(sols[0]).valid
         assert not report.complete
 
     def test_generous_limit_is_complete(self, k2_enumerated):
@@ -236,26 +249,25 @@ class TestLimitsAndBudgets:
 
     def test_shard_past_its_deadline_does_no_work(self):
         assert search._search_shard(
-            3, (), None, time.monotonic() - 1.0, True) == ([], 0, False)
+            3, (), None, time.monotonic() - 1.0) == ([], 0, False)
 
     def test_deep_search_is_iterative(self):
         # k=10 places 1 000 cells, beyond the default recursion limit
         _, _, finished = search._search_shard(
-            10, (), None, time.monotonic() + 1.0, True)
+            10, (), None, time.monotonic() + 1.0)
         assert not finished
-        _, report = enumerate_l_arrays(
-            SearchConfig(k=10, limit=1, time_budget=1.0))
-        assert not report.complete
+        start = time.monotonic()
+        with pytest.raises(BudgetError):
+            enumerate_l_arrays(SearchConfig(k=10, limit=1, time_budget=1.0))
+        assert time.monotonic() - start < 1.0
 
-    def test_deadline_cuts_the_closing_tables(self):
-        # at k=64 the kernel's 3k^3-entry tables take seconds to build, so
-        # the deadline is checked while they are built
-        _, report = enumerate_l_arrays(
-            SearchConfig(k=64, limit=1, time_budget=0.3))
-        assert not report.complete
-        assert report.elapsed < 1.0
-        order = list(range(64 ** 3))
-        assert search._closing_checks(64, order, time.monotonic() - 1) is None
+    def test_limited_run_too_large_refused_before_tables(self):
+        # at k=64 the kernel's 3k^3-entry tables would take seconds to build;
+        # the orbit size guard refuses a limited run before building them
+        start = time.monotonic()
+        with pytest.raises(BudgetError):
+            enumerate_l_arrays(SearchConfig(k=64, limit=1, time_budget=0.3))
+        assert time.monotonic() - start < 1.0
 
     @pytest.mark.parametrize("k", [3, 4])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -412,25 +424,24 @@ class TestDeterminismAndSharding:
         # the kernel run to depth 7: 25 states, each a consistent partial
         # normal form, where enumerating normal-form prefixes gave 41, 16 of
         # them clashing at once
-        states, nodes, finished = search._shard_prefixes(3, 2, True)
+        states, nodes, finished = search._shard_prefixes(3, 2)
         assert finished and len(states) == 25 and nodes > 0
         assert states == sorted(set(states))
         assert {len(s) for s in states} == {7}
         assert not any(clashes(3, s) for s in states)
-        assert search._shard_prefixes(3, 1, True) == ([()], 0, True)
-        assert search._shard_prefixes(3, 2, False) == ([()], 0, True)
+        assert search._shard_prefixes(3, 1) == ([()], 0, True)
 
     def test_shards_cover_the_search_once(self):
         # shards started from the states find every k=2 normal form once,
         # and the node count does not change
-        whole, nodes, _ = search._search_shard(2, (), None, None, True)
+        whole, nodes, _ = search._search_shard(2, (), None, None)
         for depth in range(1, 9):
             states, prefix_nodes, _ = search._search_shard(
-                2, (), None, None, True, depth)
+                2, (), None, None, depth)
             assert not any(clashes(2, s) for s in states)
             found, shard_nodes = [], 0
             for s in states:
-                sols, n, done = search._search_shard(2, s, None, None, True)
+                sols, n, done = search._search_shard(2, s, None, None)
                 assert done
                 found += sols
                 shard_nodes += n
@@ -444,6 +455,38 @@ class TestDeterminismAndSharding:
         two, report2 = enumerate_l_arrays(cfg, workers=2)
         assert one == two
         assert report1.nodes_visited == report2.nodes_visited
+
+
+@pytest.fixture(scope="module")
+def k2_by_symmetry():
+    return {sym: enumerate_l_arrays(SearchConfig(k=2, symmetry=sym))[0]
+            for sym in search.SYMMETRIES}
+
+
+class TestLimitProperties:
+    RAW_TOTAL = {2: K2_RAW, 3: K3_RAW}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(1, 600),
+           st.sampled_from(search.SYMMETRIES), st.sampled_from([1, 2]))
+    def test_limited_run_contract(self, k2_by_symmetry, k, limit, symmetry,
+                                  workers):
+        sols, report = enumerate_l_arrays(
+            SearchConfig(k=k, symmetry=symmetry, limit=limit), workers=workers)
+        raw_total = self.RAW_TOTAL[k]
+        assert 0 < len(sols) <= limit
+        keys = [g.rows for g in sols]
+        assert keys == sorted(set(keys))
+        assert all(verify_l_array(g).valid for g in sols)
+        assert report.raw_count == min(limit, raw_total)
+        # the search is exhausted before it reaches enough normal forms
+        # exactly when the limit exceeds every raw grid
+        assert report.complete == (raw_total < limit)
+        if k == 2:
+            full = k2_by_symmetry[symmetry]
+            assert set(sols) <= set(full)
+            if report.complete:
+                assert sols == full
 
 
 @pytest.fixture(scope="module")
