@@ -19,7 +19,7 @@ import sys
 from .construct import construct_l_array
 from .errors import BudgetError, DomainError, GridParseError
 from .grid import DigitGrid, parse_grid_json, parse_grid_text
-from .search import SearchConfig, enumerate_l_arrays
+from .search import SYMMETRIES, SearchConfig, enumerate_l_arrays
 from .sequences import (count_best, count_brute, count_formula,
                         format_word, generate_sequence, parse_word)
 from .verify import verify_l_array, verify_sequence, verify_torus
@@ -66,9 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate all k-de Bruijn L-arrays")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--symmetry",
-                   choices=("none", "translations", "translations+relabel"),
-                   default="none")
+    p.add_argument("--symmetry", choices=SYMMETRIES, default="none")
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--time-budget", type=float, default=None,
                    help="wall-clock cap in seconds")
@@ -205,8 +203,7 @@ def _run_enumerate(args) -> int:
     with report_out as report_fh:
         solutions, report = enumerate_l_arrays(cfg, workers=args.workers)
         if args.format == "json":
-            print(json.dumps([{"k": g.k, "rows": [list(r) for r in g.rows]}
-                              for g in solutions], separators=(", ", ": ")))
+            print("[" + ", ".join(g.to_json() for g in solutions) + "]")
         else:
             for i, g in enumerate(solutions):
                 if i:

@@ -35,28 +35,22 @@ def construct_l_array(k: int) -> DigitGrid:
 
 def check_column_relation(g: DigitGrid) -> bool:
     """Does every vertical pair (a over b) sit in column (b - a) mod k?"""
-    k, k2 = g.k, g.k * g.k
-    for r in range(k):
-        below = (r + 1) % k
-        for j in range(k2):
-            c = j % k
-            if (g.rows[below][j] - g.rows[r][j]) % k != c:
-                return False
-    return True
+    # in row-major cells, the cell below cell i is cell i + k^2 (mod k^3),
+    # and both sit in column-in-square i mod k
+    k, cells = g.k, g.cells
+    n, k2 = len(cells), k * k
+    return all((cells[(i + k2) % n] - a) % k == i % k for i, a in enumerate(cells))
 
 
 def check_diagonal_relation(g: DigitGrid) -> bool:
     """Does every d cell match its closed form in terms of (a, r, s, c)?"""
-    k, k2 = g.k, g.k * g.k
-    for r in range(k):
-        below = (r + 1) % k
-        for j in range(k2):
-            s, c = divmod(j, k)
-            d = g.rows[below][(j + 1) % k2]
-            if c == k - 1:
-                expected = (s + 1) % k
-            else:
-                expected = (g.rows[r][j] + c + r + 1) % k
-            if d != expected:
-                return False
+    k, cells = g.k, g.cells
+    k2 = k * k
+    for i, a in enumerate(cells):
+        r, j = divmod(i, k2)
+        s, c = divmod(j, k)
+        d = cells[((r + 1) % k) * k2 + (j + 1) % k2]
+        expected = (s + 1) % k if c == k - 1 else (a + c + r + 1) % k
+        if d != expected:
+            return False
     return True

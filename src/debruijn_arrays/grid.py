@@ -2,11 +2,15 @@
 
 A grid has k rows and k^2 columns, with both pairs of opposite edges glued.
 A flat column index j splits as j = s*k + c: square s, column-in-square c.
+A grid is stored as its k^3 cells in row-major order, the one format the
+search, the orbit maps and the verifier read: cell (r, j) is
+cells[r*k^2 + j].  Its rows are a view built on each read.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import DomainError, GridParseError
@@ -15,7 +19,7 @@ from .errors import DomainError, GridParseError
 class DigitGrid:
     """Immutable toroidal k x k^2 grid of digits in {0..k-1}."""
 
-    __slots__ = ("k", "rows", "_hash")
+    __slots__ = ("k", "cells")
 
     def __init__(self, k: int, rows: Iterable[Iterable[int]]):
         if k < 2:
@@ -31,27 +35,33 @@ class DigitGrid:
                 if not isinstance(e, int) or not 0 <= e < k:
                     raise DomainError(f"entry {e!r} at ({r}, {j}) not in 0..{k - 1}")
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "rows", frozen)
-        object.__setattr__(self, "_hash", hash((k, frozen)))
+        object.__setattr__(self, "cells", tuple(chain.from_iterable(frozen)))
 
     def __setattr__(self, name, value):
         raise AttributeError("DigitGrid is immutable")
 
     @classmethod
-    def _trusted(cls, k: int, rows: tuple) -> "DigitGrid":
-        """Internal fast path: rows must already be a valid tuple-of-tuples."""
+    def _trusted(cls, k: int, cells: tuple) -> "DigitGrid":
+        """Internal fast path: cells must already be a valid row-major tuple
+        of k^3 digits; it is wrapped, not copied."""
         self = object.__new__(cls)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_hash", hash((k, rows)))
+        object.__setattr__(self, "cells", cells)
         return self
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The k rows, each a tuple of k^2 digits, rebuilt on each read."""
+        k2 = self.k * self.k
+        cells = self.cells
+        return tuple(cells[i:i + k2] for i in range(0, len(cells), k2))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DigitGrid)
-                and self.k == other.k and self.rows == other.rows)
+                and self.k == other.k and self.cells == other.cells)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.k, self.cells))
 
     def __repr__(self) -> str:
         return f"DigitGrid(k={self.k}, rows={list(map(list, self.rows))})"
@@ -62,15 +72,15 @@ class DigitGrid:
             raise DomainError(f"row {r} out of range for k={self.k}")
         if not 0 <= j < self.k * self.k:
             raise DomainError(f"flat column {j} out of range for k={self.k}")
-        return self.rows[r][j]
+        return self.cells[r * self.k * self.k + j]
 
     # -- serialization ------------------------------------------------------
 
     def to_text(self) -> str:
         """Canonical text form: k on line 1, then one line per row."""
-        lines = [str(self.k)]
-        lines.extend(" ".join(str(e) for e in row) for row in self.rows)
-        return "\n".join(lines) + "\n"
+        # one format call fills a template of k lines of k^2 fields each
+        row = " ".join(["{}"] * (self.k * self.k))
+        return f"{self.k}\n" + "\n".join([row] * self.k).format(*self.cells) + "\n"
 
     def to_json(self) -> str:
         return json.dumps({"k": self.k, "rows": [list(row) for row in self.rows]},
@@ -145,7 +155,8 @@ def parse_grid_json(text: str) -> tuple[int, list[list[int]]]:
 def translate(g: DigitGrid, dr: int, dj: int) -> DigitGrid:
     """Cyclically shift the grid down by dr rows and right by dj columns."""
     k, k2 = g.k, g.k * g.k
-    return DigitGrid(k, (tuple(g.rows[(r - dr) % k][(j - dj) % k2]
+    rows = g.rows
+    return DigitGrid(k, (tuple(rows[(r - dr) % k][(j - dj) % k2]
                                for j in range(k2))
                          for r in range(k)))
 

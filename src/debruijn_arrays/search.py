@@ -36,7 +36,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, permutations, product
+from itertools import permutations, product
 from math import isfinite
 from typing import Iterable, Optional
 
@@ -302,17 +302,6 @@ def _orbit_reps(k: int, flats: Iterable[tuple[int, ...]],
     return sorted({_relabel_canonical(f, maps) for f in tcanon})
 
 
-def _flat(g: DigitGrid) -> tuple[int, ...]:
-    """The grid's cells in row-major order."""
-    return tuple(chain.from_iterable(g.rows))
-
-
-def _to_grid(k: int, flat: tuple[int, ...]) -> DigitGrid:
-    k2 = k * k
-    return DigitGrid._trusted(k, tuple(flat[r * k2:(r + 1) * k2]
-                                       for r in range(k)))
-
-
 def _shard_prefixes(k: int, workers: int, deadline: Optional[float] = None,
                     ) -> tuple[list[tuple[int, ...]], int, bool]:
     """States the normal-form kernel reaches, one position deeper at a time
@@ -391,7 +380,7 @@ def enumerate_l_arrays(cfg: SearchConfig,
         # the deadline cut the search: emit the construction's orbit; any
         # member seeds the same orbit and the same quotient representatives
         # as its normal form
-        canon_flats = [_flat(construct_l_array(k))]
+        canon_flats = [construct_l_array(k).cells]
     seeds: list[tuple[int, ...]] = []
     kept = 0
     for flat in canon_flats:
@@ -418,7 +407,7 @@ def enumerate_l_arrays(cfg: SearchConfig,
     if complete:
         orbits = raw_count if cfg.symmetry == "none" else len(out_flats)
 
-    grids = [_to_grid(k, f) for f in out_flats]
+    grids = [DigitGrid._trusted(k, f) for f in out_flats]
     report = SearchReport(raw_count=raw_count, orbit_count=orbits,
                           nodes_visited=nodes, complete=complete,
                           elapsed=time.monotonic() - start)
@@ -433,12 +422,11 @@ def brute_filter(k: int) -> tuple[list[DigitGrid], SearchReport]:
     if k != 2:
         raise BudgetError(f"brute filter supports k=2 only (k={k} is 3^27+ grids)")
     start = time.monotonic()
-    k2 = k * k
     solutions = []
     tried = 0
-    for flat in product(range(k), repeat=k * k2):
+    for flat in product(range(k), repeat=k ** 3):
         tried += 1
-        g = DigitGrid(k, (flat[r * k2:(r + 1) * k2] for r in range(k)))
+        g = DigitGrid._trusted(k, flat)
         if verify_l_array(g).valid:
             solutions.append(g)
     report = SearchReport(raw_count=len(solutions), orbit_count=len(solutions),
@@ -451,7 +439,7 @@ def canonicalize(g: DigitGrid, symmetry: str) -> DigitGrid:
     """Lexicographically least grid in the orbit of g under the chosen group."""
     if symmetry not in SYMMETRIES:
         raise DomainError(f"unknown symmetry {symmetry!r}")
-    return _to_grid(g.k, _orbit_reps(g.k, [_flat(g)], symmetry)[0])
+    return DigitGrid._trusted(g.k, _orbit_reps(g.k, [g.cells], symmetry)[0])
 
 
 def orbit_count(solutions: Iterable[DigitGrid], symmetry: str,
@@ -463,5 +451,5 @@ def orbit_count(solutions: Iterable[DigitGrid], symmetry: str,
     sols = list(solutions)
     if not sols:
         return 0
-    return len(_orbit_reps(sols[0].k, [_flat(g) for g in sols], symmetry))
+    return len(_orbit_reps(sols[0].k, [g.cells for g in sols], symmetry))
 

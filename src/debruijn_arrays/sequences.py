@@ -24,7 +24,7 @@ BRUTE_MAX_WORD_LEN = 12
 BRUTE_MAX_WORDS = 10 ** 8
 BEST_MAX_NODES = 64
 # Longest word generate_sequence writes: k^n <= 2^18 digits admits (2, 18)
-# and (3, 11), and refuses larger words before the graph is built.
+# and (3, 11), and refuses larger words before any table is built.
 MAX_WORD_LEN = 1 << 18
 # Counts are printed in decimal, and CPython converts ints of at most this
 # many digits to str by default.
@@ -102,45 +102,50 @@ def parse_word(text: str, k: int) -> list[int]:
 def _euler_digits(k: int, n: int) -> list[int]:
     """Hierholzer's algorithm on the de Bruijn graph, iterative.
 
-    Edges out of each node are consumed in descending digit order, starting
-    from the all-zero (n-1)-gram, so the output is fixed for each (k, n).
+    Node u is an (n-1)-gram read as a base-k number; the edge on digit d
+    leads to (u*k + d) mod k^(n-1), and a node entered that way ends in
+    u mod k.  Edges out of each node are consumed in descending digit
+    order, starting from the all-zero (n-1)-gram, so the output is fixed
+    for each (k, n).
     """
     if n == 1:
         # Single node with k loops; the descending consumption order below
         # degenerates to emitting each digit once.
         return list(range(k - 1, -1, -1))
-    g = build_graph(k, n)
-    next_digit = {u: k for u in g.nodes}  # digits k-1 .. 0 not yet used from u
-    start = (0,) * (n - 1)
-    stack = [start]
+    m = k ** (n - 1)
+    next_digit = [k] * m  # digits k-1 .. 0 not yet used from each node
+    stack = [0]
     circuit_digits: list[int] = []
     while stack:
         u = stack[-1]
-        if next_digit[u] > 0:
-            d = next_digit[u] - 1
+        d = next_digit[u]
+        if d:
+            d -= 1
             next_digit[u] = d
-            stack.append((u + (d,))[1:])
+            stack.append((u * k + d) % m)
         else:
             stack.pop()
             if stack:
-                circuit_digits.append(u[-1])
+                circuit_digits.append(u % k)
     circuit_digits.reverse()
     return circuit_digits
 
 
 def _greedy_digits(k: int, n: int) -> list[int]:
-    """Prefer-largest greedy walk from the all-zero (n-1)-gram."""
+    """Prefer-largest greedy walk from the all-zero (n-1)-gram; windows are
+    coded as base-k numbers, as in _euler_digits."""
     total = k ** n
-    used = set()
-    state = (0,) * (n - 1)
+    m = k ** (n - 1)
+    used = bytearray(total)
+    state = 0
     out: list[int] = []
     for _ in range(total):
         for d in range(k - 1, -1, -1):
-            window = state + (d,)
-            if window not in used:
-                used.add(window)
+            window = state * k + d
+            if not used[window]:
+                used[window] = 1
                 out.append(d)
-                state = window[1:]
+                state = window % m
                 break
         else:
             raise AssertionError("greedy walk stuck; should not happen")

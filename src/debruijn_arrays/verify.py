@@ -80,8 +80,7 @@ def _check_windows(cells: Sequence[int], R: int, C: int, k: int,
 
 def verify_l_array(g: DigitGrid) -> VerifyReport:
     """Check that the k^3 L windows of g realize every filling exactly once."""
-    cells = [v for row in g.rows for v in row]
-    return _check_windows(cells, g.k, g.k * g.k, g.k, _L_WINDOW)
+    return _check_windows(g.cells, g.k, g.k * g.k, g.k, _L_WINDOW)
 
 
 def verify_torus(rows: Sequence[Sequence[int]], k: int, m: int, n: int) -> VerifyReport:

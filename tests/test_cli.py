@@ -11,6 +11,7 @@ from debruijn_arrays import cli
 from debruijn_arrays.cli import main
 from debruijn_arrays.construct import construct_l_array
 from debruijn_arrays.grid import DigitGrid
+from debruijn_arrays.search import SearchConfig, enumerate_l_arrays
 from debruijn_arrays.verify import verify_l_array
 
 
@@ -225,6 +226,11 @@ class TestEnumerate:
         arr = json.loads(out)
         assert len(arr) == 16
         assert all(a["k"] == 2 for a in arr)
+        grids, _ = enumerate_l_arrays(SearchConfig(k=2))
+        assert out == "[" + ", ".join(g.to_json() for g in grids) + "]\n"
+        # the same bytes as one json.dumps of the whole list
+        assert out == json.dumps([json.loads(g.to_json()) for g in grids],
+                                 separators=(", ", ": ")) + "\n"
 
     def test_report_file(self, tmp_path, capsys):
         path = tmp_path / "report.json"

@@ -38,6 +38,17 @@ class TestDigitGrid:
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
 
+    @given(grids())
+    def test_cells_and_rows_views_agree(self, g):
+        k2 = g.k * g.k
+        assert DigitGrid._trusted(g.k, g.cells) == DigitGrid(g.k, g.rows) == g
+        assert hash(DigitGrid._trusted(g.k, g.cells)) == hash(g)
+        assert hash(DigitGrid(g.k, g.rows)) == hash(g)
+        assert isinstance(g.rows, tuple) and len(g.rows) == g.k
+        assert all(isinstance(row, tuple) and len(row) == k2 for row in g.rows)
+        assert all(g.cell(r, j) == g.rows[r][j]
+                   for r in range(g.k) for j in range(k2))
+
     def test_cell_bounds(self):
         g = DigitGrid(2, [[0, 0, 1, 1], [0, 1, 1, 0]])
         assert g.cell(1, 3) == 0

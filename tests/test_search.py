@@ -281,8 +281,8 @@ class TestLimitsAndBudgets:
         reps, _ = enumerate_l_arrays(
             SearchConfig(k=k, symmetry="translations", time_budget=0.1),
             workers=workers)
-        flats = [tuple(v for row in h.rows for v in row) for h in orbit]
-        assert reps == [search._to_grid(k, f) for f in
+        flats = [h.cells for h in orbit]
+        assert reps == [DigitGrid._trusted(k, f) for f in
                         search._orbit_reps(k, flats, "translations")]
 
     def test_deadline_before_sharding_emits_construction_orbit(
@@ -368,7 +368,7 @@ class TestSymmetry:
         maps = search._translation_maps(k)
         g = construct_l_array(k)
         for perm in (range(k), range(k - 1, -1, -1)):
-            flat = CountingCells(perm[v] for v in search._flat(g))
+            flat = CountingCells(perm[v] for v in g.cells)
             search._translation_canonical(flat, maps)
             assert flat.reads <= 3 * k ** 3
 
@@ -382,7 +382,7 @@ class TestSymmetry:
             built.append(seq)
             return first_occurrence(seq)
         monkeypatch.setattr(search, "_first_occurrence", counted)
-        flat = search._flat(construct_l_array(k))
+        flat = construct_l_array(k).cells
         reps = search._orbit_reps(k, [flat], "translations+relabel")
         assert len(reps) == 1 and len(built) == k ** 3
 

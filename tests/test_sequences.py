@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import pytest
@@ -56,6 +57,16 @@ class TestGenerate:
     def test_deterministic(self):
         assert generate_sequence(3, 3) == generate_sequence(3, 3)
         assert generate_sequence(3, 3, "greedy") == generate_sequence(3, 3, "greedy")
+
+    @pytest.mark.parametrize("method", ["euler", "greedy"])
+    def test_exact_words(self, method):
+        # the two walks write the same word for these (k, n); pinned so that
+        # no change of the walks' internals alters the output
+        assert generate_sequence(3, 3, method) == "222122021121020120011101000"
+        word = generate_sequence(2, 16, method)
+        assert len(word) == 2 ** 16
+        assert hashlib.sha256(word.encode()).hexdigest() == (
+            "85def81e8a9da4d54b5d4004cbcb66f2d061576b01ee74678132920a9af71518")
 
     def test_22_is_rotation_of_0011(self):
         # (2,2) has exactly one cyclic class, confirmed by brute force
