@@ -33,8 +33,8 @@ order, so the output and the node count are identical for any worker count.
 
 from __future__ import annotations
 
+import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations, product
 from math import isfinite
@@ -327,6 +327,8 @@ def _run_shards(k: int, workers, limit, deadline):
     if len(prefixes) == 1 or workers <= 1:
         results = [_search_shard(k, pre, limit, deadline) for pre in prefixes]
     else:
+        # imported here, so that runs without a pool do not load it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_search_shard, k, pre, limit, deadline)
                        for pre in prefixes]
@@ -352,7 +354,11 @@ def enumerate_l_arrays(cfg: SearchConfig,
     limit; it emits the first `limit` grids (or representatives) of their
     sorted output.  Raises BudgetError before searching when a run would
     have to build or read more than MAX_ORBIT_CELLS cells per orbit.
+    Starts at most os.cpu_count() processes, whatever `workers` asks.
     """
+    if workers < 1:
+        raise DomainError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
     start = time.monotonic()
     deadline = start + cfg.time_budget if cfg.time_budget is not None else None
     k = cfg.k

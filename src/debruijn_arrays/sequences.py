@@ -12,7 +12,6 @@ remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import factorial, inf, lgamma, log, log10
 
@@ -21,7 +20,7 @@ from .verify import verify_sequence
 
 # Hard budgets for the two expensive counters.
 BRUTE_MAX_WORD_LEN = 12
-BRUTE_MAX_WORDS = 10 ** 8
+BRUTE_MAX_WORDS = 10 ** 6  # about 10^5 words a second: (7, 1) in, (8, 1) out
 BEST_MAX_NODES = 64
 # Longest word generate_sequence writes: k^n <= 2^18 digits admits (2, 18)
 # and (3, 11), and refuses larger words before any table is built.
@@ -29,35 +28,6 @@ MAX_WORD_LEN = 1 << 18
 # Counts are printed in decimal, and CPython converts ints of at most this
 # many digits to str by default.
 MAX_COUNT_DIGITS = 4300
-
-
-@dataclass(frozen=True)
-class DeBruijnGraph:
-    """Directed multigraph on (n-1)-grams; each n-gram w is an edge
-    prefix(w) -> suffix(w).  Every node has in- and out-degree k."""
-
-    k: int
-    n: int
-    nodes: tuple
-    adjacency: dict  # node -> tuple of successor nodes, one per appended digit
-
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.nodes) * self.k
-
-
-def build_graph(k: int, n: int) -> DeBruijnGraph:
-    if k < 2:
-        raise DomainError(f"alphabet size must be >= 2, got {k}")
-    if n < 1:
-        raise DomainError(f"window length must be >= 1, got {n}")
-    nodes = tuple(product(range(k), repeat=n - 1))
-    adjacency = {u: tuple((u + (d,))[1:] for d in range(k)) for u in nodes}
-    return DeBruijnGraph(k=k, n=n, nodes=nodes, adjacency=adjacency)
 
 
 def generate_sequence(k: int, n: int, method: str = "euler") -> str:
@@ -187,6 +157,7 @@ def count_brute(k: int, n: int) -> int:
     (all rotations differ because all windows are distinct), so the raw
     pass count divides exactly by k^n.
     """
+    _check_count_args(k, n)
     # k^n > n for k >= 2, so capping the exponent at the budget keeps the
     # word-length test exact without building a huge k^n
     if (k ** min(n, BRUTE_MAX_WORD_LEN) > BRUTE_MAX_WORD_LEN
@@ -212,32 +183,22 @@ def count_best(k: int, n: int) -> int:
     counts cyclic de Bruijn classes, so no extra normalization factor.
     """
     _check_count_args(k, n)
-    # refuse before build_graph lists the k^(n-1) nodes; k >= 2, so capping
+    # refuse before the k^(n-1)-node Laplacian is built; k >= 2, so capping
     # the exponent at the budget keeps the comparison exact and cheap
     if k ** min(n - 1, BEST_MAX_NODES) > BEST_MAX_NODES:
         raise BudgetError(f"(k={k}, n={n}) needs a {k}^{n - 1}-node Laplacian, "
                           f"budget is {BEST_MAX_NODES}")
-    g = build_graph(k, n)
-    arbs = _arborescence_count(g)
-    return arbs * factorial(k - 1) ** g.node_count
-
-
-def _arborescence_count(g: DeBruijnGraph) -> int:
-    """Spanning-arborescence count: any principal minor of the out-degree
-    Laplacian (the graph is Eulerian, so the root choice is immaterial)."""
-    nodes = g.nodes
-    if len(nodes) == 1:
-        return 1
-    index = {u: i for i, u in enumerate(nodes)}
-    size = len(nodes)
-    lap = [[0] * size for _ in range(size)]
-    for u in nodes:
-        i = index[u]
-        lap[i][i] += g.k
-        for v in g.adjacency[u]:
-            lap[i][index[v]] -= 1
-    minor = [row[1:] for row in lap[1:]]
-    return bareiss_determinant(minor)
+    m = k ** (n - 1)
+    # out-degree Laplacian of the graph _euler_digits walks: node u's edge on
+    # digit d leads to (u*k + d) mod m.  The graph is Eulerian, so any
+    # principal minor counts the spanning arborescences.
+    lap = [[0] * m for _ in range(m)]
+    for u in range(m):
+        lap[u][u] += k
+        for d in range(k):
+            lap[u][(u * k + d) % m] -= 1
+    arbs = bareiss_determinant([row[1:] for row in lap[1:]]) if m > 1 else 1
+    return arbs * factorial(k - 1) ** m
 
 
 def bareiss_determinant(matrix: list[list[int]]) -> int:

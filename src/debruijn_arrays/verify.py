@@ -105,10 +105,11 @@ def verify_torus(rows: Sequence[Sequence[int]], k: int, m: int, n: int) -> Verif
         for j, e in enumerate(row):
             if not isinstance(e, int) or not 0 <= e < k:
                 raise DomainError(f"entry {e!r} at ({i}, {j}) not in 0..{k - 1}")
-    total = k ** (m * n)
-    if R * C != total:
-        raise DimensionError(
-            f"{R}x{C} grid has {R * C} cells; a (k={k}, {m}x{n}) torus needs {total}")
+    # k^e >= 2^e: an exponent past the cell count's bit length cannot match,
+    # and k^e is not built for it
+    if m * n > (R * C).bit_length() or k ** (m * n) != R * C:
+        raise DimensionError(f"{R}x{C} grid has {R * C} cells; a "
+                             f"(k={k}, {m}x{n}) torus needs {k}^{m * n}")
     cells = [v for row in grid for v in row]
     offsets = [(di, dj) for di in range(m) for dj in range(n)]
     return _check_windows(cells, R, C, k, offsets,
@@ -125,8 +126,7 @@ def verify_sequence(word: Union[str, Sequence[int]], k: int, n: int) -> VerifyRe
     for i, d in enumerate(digits):
         if not 0 <= d < k:
             raise DomainError(f"digit {d} at position {i} not in 0..{k - 1}")
-    total = k ** n
-    if len(digits) != total:
+    if n > len(digits).bit_length() or k ** n != len(digits):  # see verify_torus
         raise DimensionError(
-            f"word length {len(digits)} != k^n = {total} for (k={k}, n={n})")
-    return _check_windows(digits, 1, total, k, [(0, t) for t in range(n)])
+            f"word length {len(digits)} != k^n = {k}^{n} for (k={k}, n={n})")
+    return _check_windows(digits, 1, len(digits), k, [(0, t) for t in range(n)])

@@ -1,11 +1,14 @@
 import json
 import os
+import resource
+import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from debruijn_arrays import cli
 from debruijn_arrays.cli import main
@@ -15,10 +18,43 @@ from debruijn_arrays.search import SearchConfig, enumerate_l_arrays
 from debruijn_arrays.verify import verify_l_array
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+# address-space cap for each CLI child and the pool workers it forks
+CHILD_MEMORY_CAP = 1 << 30
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY_CAP, CHILD_MEMORY_CAP))
+
+
+def run_child(argv, cwd, timeout=60.0):
+    """Run the CLI in a fresh interpreter under the memory cap, with an empty
+    stdin; on a timeout, kill it and its pool workers and fail."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "debruijn_arrays.cli", *argv], cwd=cwd,
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=child_env(), preexec_fn=_cap_memory,
+        start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"{argv} ran over {timeout} s")
+    return proc.returncode, out, err
 
 
 class TestConstruct:
@@ -262,6 +298,21 @@ class TestEnumerate:
         assert code == 2
         assert out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, capsys, workers):
+        code, out, err = run(capsys, "enumerate", "--k", "2",
+                             "--workers", workers)
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # the pool is imported only where a run starts one
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", "import sys, debruijn_arrays.cli; "
+             "print('concurrent.futures.process' in sys.modules)"],
+            capture_output=True, text=True, env=child_env(), check=True).stdout
+        assert out == "False\n"
+
     def test_k4_limit_1_emits_a_grid_at_once(self, capsys):
         start = time.monotonic()
         code, out, err = run(capsys, "enumerate", "--k", "4", "--limit", "1")
@@ -294,14 +345,10 @@ class TestEnumerate:
         assert out == "" and err.startswith("error:")
 
     def test_closed_stdout_exits_141_without_traceback(self):
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src), env.get("PYTHONPATH")) if p)
         proc = subprocess.Popen(
             [sys.executable, "-m", "debruijn_arrays.cli", "enumerate",
              "--k", "3", "--symmetry", "translations"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
         try:
             assert proc.stdout.readline() == b"3\n"
             proc.stdout.close()  # like `| head -1`
@@ -323,3 +370,95 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["construct", "--bogus"])
         assert exc.value.code == 2
+
+
+# boundary alphabet sizes, and numbers that are bad for most options
+K_VALUES = ["-1", "0", "1", "2", "3", "4", "5", "8", "200", "1000000000"]
+BAD_NUMBERS = ["x", "nan", "inf", "0", "-1", "1e-9"]
+
+
+@st.composite
+def cli_argv(draw, paths):
+    """argv from a small grammar of the five subcommands.  Enumerations
+    use one or two workers; at k >= 3 each gets a time budget of at most
+    0.5 s or a limit of at most 5 grids, and none runs at k = 7, whose
+    single orbit costs seconds and hundreds of MB."""
+    command = draw(st.sampled_from(
+        ["construct", "verify", "sequence", "count", "enumerate"]))
+    k = draw(st.sampled_from(K_VALUES))
+    number = st.sampled_from(K_VALUES) | st.sampled_from(BAD_NUMBERS)
+    argv = [command, "--k", k]
+    if command == "construct":
+        argv += ["--format", draw(st.sampled_from(["text", "json"]))]
+    elif command == "sequence":
+        argv += ["--n", draw(number),
+                 "--method", draw(st.sampled_from(["euler", "greedy"]))]
+    elif command == "count":
+        argv += ["--n", draw(number), "--method",
+                 draw(st.sampled_from(["formula", "best", "brute", "all"]))]
+    elif command == "verify" and draw(st.booleans()):  # well-formed
+        argv = ["verify", *draw(st.sampled_from(paths["requests"]))]
+    elif command == "verify":
+        argv += ["--shape", *draw(st.one_of(
+            st.just(["l-array"]),
+            st.tuples(st.just("torus"), number, number).map(list),
+            st.tuples(st.just("sequence"), number).map(list)))]
+        argv += ["--format", draw(st.sampled_from(["text", "json"])),
+                 draw(st.sampled_from(paths["inputs"]))]
+    else:
+        argv += ["--workers", draw(st.sampled_from(["1", "2"])),
+                 "--symmetry", draw(st.sampled_from(
+                     ["none", "translations", "translations+relabel"])),
+                 "--format", draw(st.sampled_from(["text", "json"]))]
+        bounds = {"--limit": draw(st.sampled_from([None, "1", "5"])),
+                  "--time-budget": draw(st.sampled_from([None, "0.1", "0.5"]))}
+        if int(k) >= 3 and bounds == {"--limit": None, "--time-budget": None}:
+            bounds["--time-budget"] = "0.5"
+        # every bad number is refused or is a budget below 0.5 s
+        bad = draw(st.sampled_from([None, None, "--limit", "--time-budget"]))
+        if bad is not None:
+            bounds[bad] = draw(st.sampled_from(BAD_NUMBERS))
+        for flag, value in bounds.items():
+            if value is not None:
+                argv += [flag, value]
+        report = draw(st.none() | st.sampled_from(paths["reports"]))
+        if report is not None:
+            argv += ["--report-file", report]
+    return argv
+
+
+@pytest.mark.slow
+def test_cli_contract_on_drawn_argv(tmp_path):
+    """Every drawn command line ends in a documented exit code without a
+    traceback, and exit 1 only reports an invalid input to verify."""
+    (tmp_path / "l2.txt").write_text(construct_l_array(2).to_text())
+    (tmp_path / "l3.json").write_text(construct_l_array(3).to_json())
+    (tmp_path / "zeros.txt").write_text("2\n0 0 0 0\n0 0 0 0\n")
+    (tmp_path / "word.txt").write_text("00010111\n")
+    (tmp_path / "junk.txt").write_text("not a grid\n")
+    (tmp_path / "dir").mkdir()
+    paths = {"inputs": ["l2.txt", "l3.json", "zeros.txt", "word.txt",
+                        "junk.txt", "missing.txt", "dir", "-"],
+             "reports": ["report.json", "dir", "missing/report.json"],
+             "requests": [
+                 ["--k", "2", "--shape", "l-array", "l2.txt"],
+                 ["--k", "3", "--shape", "l-array", "--format", "json",
+                  "l3.json"],
+                 ["--k", "2", "--shape", "l-array", "zeros.txt"],
+                 ["--k", "2", "--shape", "torus", "1", "3", "zeros.txt"],
+                 ["--k", "2", "--shape", "sequence", "3", "word.txt"],
+                 ["--k", "2", "--shape", "sequence", "2", "word.txt"],
+                 ["--k", "3", "--shape", "sequence", "2", "word.txt"]]}
+
+    @settings(max_examples=100, derandomize=True, database=None,
+              deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cli_argv(paths))
+    def check(argv):
+        code, out, err = run_child(argv, tmp_path)
+        assert code in {0, 1, 2, 3, 4, 141}, (argv, code, err)
+        assert b"Traceback" not in err, (argv, err)
+        if code == 1:
+            assert argv[0] == "verify", (argv, err)
+            assert json.loads(out)["valid"] is False
+    check()

@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 import random
 import time
 from itertools import permutations
@@ -294,7 +296,9 @@ class TestLimitsAndBudgets:
             return passes[-1]
         shard_prefixes = search._shard_prefixes
         monkeypatch.setattr(search, "_shard_prefixes", recorded)
-        monkeypatch.setattr(search, "ProcessPoolExecutor", None)  # no shards
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers run
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            None)  # no shards
         sols, report = enumerate_l_arrays(
             SearchConfig(k=3, time_budget=1e-9), workers=2)
         assert passes == [([], 0, False)]  # the prefix pass was cut
@@ -416,8 +420,36 @@ class TestDeterminismAndSharding:
         assert a[1].nodes_visited == b[1].nodes_visited
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_node_count_independent_of_workers(self, k2_enumerated, workers):
+    def test_node_count_independent_of_workers(self, monkeypatch,
+                                               k2_enumerated, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)  # no cap below 3
         _, report = enumerate_l_arrays(SearchConfig(k=2), workers=workers)
+        assert report.nodes_visited == k2_enumerated[1].nodes_visited
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch, k2_enumerated):
+        # an inline pool records the processes asked for and starts none
+        asked = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = concurrent.futures.Future()
+                fut.set_result(fn(*args))
+                return fut
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        sols, report = enumerate_l_arrays(SearchConfig(k=2), workers=10_000)
+        assert asked == [2]
+        assert sols == k2_enumerated[0]
         assert report.nodes_visited == k2_enumerated[1].nodes_visited
 
     def test_shard_states_are_kernel_states(self):
@@ -515,7 +547,8 @@ class TestK3:
                     if g.rows[0][0] == g.rows[0][1] == g.rows[0][2] == 0)
         assert shard == K3_DIRECT_SHARD_000
 
-    def test_three_workers_match_one(self, k3_enumerated):
+    def test_three_workers_match_one(self, monkeypatch, k3_enumerated):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)  # no cap below 3
         sols, report = enumerate_l_arrays(SearchConfig(k=3), workers=3)
         assert report.complete
         assert report.nodes_visited == k3_enumerated[1].nodes_visited == 2_439_815

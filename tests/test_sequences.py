@@ -5,8 +5,8 @@ import pytest
 
 from debruijn_arrays import sequences
 from debruijn_arrays.errors import BudgetError, DomainError
-from debruijn_arrays.sequences import (bareiss_determinant, build_graph,
-                                       count_best, count_brute, count_formula,
+from debruijn_arrays.sequences import (bareiss_determinant, count_best,
+                                       count_brute, count_formula,
                                        format_word, generate_sequence,
                                        parse_word)
 from debruijn_arrays.verify import verify_sequence
@@ -14,35 +14,6 @@ from debruijn_arrays.verify import verify_sequence
 # brute-force ground truth, computed by enumerating all k^(k^n) words and
 # dividing the pass count by k^n rotations per cyclic class
 BRUTE_COUNTS = {(2, 2): 1, (2, 3): 2, (3, 2): 24}
-
-
-class TestGraph:
-    @pytest.mark.parametrize("k,n,nodes,edges", [
-        (2, 2, 2, 4),
-        (2, 3, 4, 8),
-        (3, 2, 3, 9),
-        (2, 1, 1, 2),
-    ])
-    def test_shape(self, k, n, nodes, edges):
-        g = build_graph(k, n)
-        assert g.node_count == nodes
-        assert g.edge_count == edges
-        for u in g.nodes:
-            assert len(g.adjacency[u]) == k
-
-    def test_degrees_balanced(self):
-        g = build_graph(3, 3)
-        indeg = {u: 0 for u in g.nodes}
-        for u in g.nodes:
-            for v in g.adjacency[u]:
-                indeg[v] += 1
-        assert all(d == 3 for d in indeg.values())
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            build_graph(1, 2)
-        with pytest.raises(DomainError):
-            build_graph(2, 0)
 
 
 class TestGenerate:
@@ -96,8 +67,9 @@ class TestGenerate:
     def test_oversized_word_refused_before_the_graph(self, monkeypatch, k, n,
                                                      method):
         def refuse(*args):
-            raise AssertionError("the graph must not be built")
-        monkeypatch.setattr(sequences, "build_graph", refuse)
+            raise AssertionError("the walk must not start")
+        monkeypatch.setattr(sequences, "_euler_digits", refuse)
+        monkeypatch.setattr(sequences, "_greedy_digits", refuse)
         with pytest.raises(BudgetError):
             generate_sequence(k, n, method)
 
@@ -131,6 +103,22 @@ class TestCounts:
     def test_best_matches_formula(self, k, n):
         assert count_best(k, n) == count_formula(k, n)
 
+    def test_best_matches_formula_on_every_admitted_size(self):
+        admitted = 0
+        for k in range(2, 65):
+            n = 1
+            while k ** (n - 1) <= sequences.BEST_MAX_NODES:
+                try:
+                    best = count_best(k, n)
+                except BudgetError:  # a count over MAX_COUNT_DIGITS
+                    with pytest.raises(BudgetError):
+                        count_formula(k, n)
+                else:
+                    assert best == count_formula(k, n), (k, n)
+                    admitted += 1
+                n += 1
+        assert admitted == 131
+
     def test_n1_degenerates_to_factorial(self):
         # cyclic arrangements of all k digits
         from math import factorial
@@ -140,8 +128,9 @@ class TestCounts:
 
     def test_budget_guards(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("the graph must not be built")
-        monkeypatch.setattr(sequences, "build_graph", refuse)
+            raise AssertionError("no word may be checked, no matrix reduced")
+        monkeypatch.setattr(sequences, "verify_sequence", refuse)
+        monkeypatch.setattr(sequences, "bareiss_determinant", refuse)
         with pytest.raises(BudgetError):
             count_brute(2, 4)  # 2^16 words exceeds word-length budget
         with pytest.raises(BudgetError):
@@ -150,6 +139,8 @@ class TestCounts:
             count_best(2, 40)  # 2^39 nodes
         with pytest.raises(BudgetError):
             count_brute(2, 10 ** 12)  # refused without building 2^(10^12)
+        with pytest.raises(BudgetError):
+            count_brute(8, 1)  # 8^8 words, minutes of checking
 
     @pytest.mark.parametrize("k,n", [
         (2, 15), (4, 7), (2, 40), (60, 2),
@@ -169,8 +160,11 @@ class TestCounts:
             assert count_best(k, n) == count
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            count_formula(1, 2)
+        # count_brute once raised TypeError at (-1, -1)
+        for count in (count_formula, count_best, count_brute):
+            for k, n in [(1, 2), (0, 1), (-1, -1), (2, 0)]:
+                with pytest.raises(DomainError):
+                    count(k, n)
 
 
 class TestBareiss:

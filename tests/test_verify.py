@@ -1,3 +1,4 @@
+import time
 from itertools import product
 
 import pytest
@@ -87,6 +88,12 @@ class TestVerifyTorus:
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
             verify_torus([[0, 1], [1, 0]], 2, 2, 2)
+        # k^(m*n) is not built when the exponent alone rules the size out
+        for m, n in [(10 ** 9, 10 ** 9), (1, 3), (3, 1)]:
+            start = time.monotonic()
+            with pytest.raises(DimensionError):
+                verify_torus(TORUS_222, 2, m, n)
+            assert time.monotonic() - start < 1.0
 
     def test_malformed_rejected(self):
         with pytest.raises(DomainError):
@@ -111,6 +118,12 @@ class TestVerifySequence:
     def test_wrong_length(self):
         with pytest.raises(DimensionError):
             verify_sequence("0001011", 2, 3)
+        # a window length of 10^9 once hung building k^n
+        for k, n in [(3, 10 ** 9), (10 ** 9, 10 ** 9), (2, 4), (3, 2)]:
+            start = time.monotonic()
+            with pytest.raises(DimensionError):
+                verify_sequence("00010111", k, n)
+            assert time.monotonic() - start < 1.0
 
     def test_bad_digit(self):
         with pytest.raises(DomainError):
