@@ -3,8 +3,7 @@ exact counting, and exhaustive enumeration."""
 
 from .construct import (check_column_relation, check_diagonal_relation,
                         construct_l_array)
-from .errors import (BudgetError, DimensionError, DomainError, GridParseError,
-                     IncompleteSearchError)
+from .errors import BudgetError, DimensionError, DomainError, GridParseError
 from .grid import DigitGrid, relabel, translate
 from .search import (SearchConfig, SearchReport, brute_filter, canonicalize,
                      enumerate_l_arrays, orbit_count)
@@ -14,7 +13,7 @@ from .verify import VerifyReport, verify_l_array, verify_sequence, verify_torus
 
 __all__ = [
     "BudgetError", "DigitGrid", "DimensionError", "DomainError",
-    "GridParseError", "IncompleteSearchError", "SearchConfig",
+    "GridParseError", "SearchConfig",
     "SearchReport", "VerifyReport", "brute_filter", "canonicalize",
     "check_column_relation", "check_diagonal_relation",
     "construct_l_array", "count_best", "count_brute", "count_formula",

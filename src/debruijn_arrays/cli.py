@@ -21,7 +21,7 @@ from .errors import BudgetError, DomainError, GridParseError
 from .grid import DigitGrid, parse_grid_json, parse_grid_text
 from .search import SYMMETRIES, SearchConfig, enumerate_l_arrays
 from .sequences import (count_best, count_brute, count_formula,
-                        format_word, generate_sequence, parse_word)
+                        generate_sequence, parse_word)
 from .verify import verify_l_array, verify_sequence, verify_torus
 
 EXIT_OK = 0
@@ -112,7 +112,9 @@ def _run_construct(args) -> int:
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes become lone surrogates, which the parsers report
+    # as bad digits (exit 2)
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return fh.read()
 
 

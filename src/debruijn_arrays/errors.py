@@ -13,10 +13,6 @@ class BudgetError(RuntimeError):
     """The requested instance exceeds a hard enumeration/matrix budget."""
 
 
-class IncompleteSearchError(RuntimeError):
-    """An operation needed a complete solution set but got a truncated one."""
-
-
 class GridParseError(ValueError):
     """Malformed grid/sequence text or JSON. Carries a line/column when known."""
 

@@ -144,11 +144,17 @@ def parse_grid_json(text: str) -> tuple[int, list[list[int]]]:
     if not isinstance(obj, dict) or "k" not in obj or "rows" not in obj:
         raise GridParseError('expected a JSON object with "k" and "rows"')
     k, rows = obj["k"], obj["rows"]
-    if not isinstance(k, int):
+    # JSON true/false load as bool, a subclass of int: refuse them for k
+    # and for every entry
+    if not isinstance(k, int) or isinstance(k, bool):
         raise GridParseError(f'"k" must be an integer, got {k!r}')
     if (not isinstance(rows, list)
             or not all(isinstance(row, list) for row in rows)):
         raise GridParseError('"rows" must be an array of arrays')
+    for r, row in enumerate(rows):
+        for j, e in enumerate(row):
+            if isinstance(e, bool):
+                raise GridParseError(f"entry {e!r} at ({r}, {j}) is not a digit")
     return k, [list(row) for row in rows]
 
 

@@ -41,7 +41,7 @@ from math import isfinite
 from typing import Iterable, Optional
 
 from .construct import construct_l_array
-from .errors import BudgetError, DomainError, IncompleteSearchError
+from .errors import BudgetError, DomainError
 from .grid import DigitGrid
 from .verify import verify_l_array
 
@@ -134,18 +134,20 @@ def _search_shard(k: int,
                   deadline: Optional[float],
                   stop: Optional[int] = None,
                   ) -> tuple[list[tuple[int, ...]], int, bool]:
-    """Exhaust one shard of the normal-form search: positions
-    0..len(prefix)-1 of the column-major cell order fixed.
+    """Exhaust one shard of the normal-form search: the subtree below
+    `prefix`, a state this kernel reached, given as the digits of positions
+    0..len(prefix)-1 of the column-major cell order.
 
-    Digits are tried in ascending order.  Returns (normal forms as row-major
-    flat digit tuples, nodes visited, finished); finished is False when a
-    limit of normal forms or the deadline cut the shard short.  A shard
-    whose deadline has already passed returns at once, unfinished, so shards
-    queued behind a cut one do no work.  A node is one digit tried at one
-    position; the prefix, a state this kernel reached, is replayed without
-    counting nodes.  Given a `stop` position, the search ends there and
-    returns the states it reaches, as prefixes (digits in cell order),
-    instead of normal forms.
+    Each position tries its digit range in ascending order.  The prefix
+    pins each of its positions to the one-digit range [digit, digit + 1),
+    and the shard ends when the search backtracks into it.  Returns (normal
+    forms as row-major flat digit tuples, nodes visited, finished);
+    finished is False when a limit of normal forms or the deadline cut the
+    shard short.  A shard whose deadline has already passed returns at
+    once, unfinished, so shards queued behind a cut one do no work.  A node
+    is one digit tried at one position; the pinned positions count none.
+    Given a `stop` position, the search ends there and returns the states
+    it reaches, as prefixes (digits in cell order), instead of normal forms.
     """
     if deadline is not None and time.monotonic() > deadline:
         return [], 0, False
@@ -156,58 +158,49 @@ def _search_shard(k: int,
     checks = _closing_checks(k, order)
     room = [1] * k ** 3 + [k] * (2 * k2)
     vals = [0] * n  # row-major, like the solutions
-    # digits tried at each position lie below its cap; a normal form pins
-    # the (0,0,0) L at anchor (0,0): cells (0,0), (1,0) and (1,1), at
-    # column-major positions 0, 1 and k+1
+    # each position tries the digits from lo up to below cap; a normal form
+    # pins the (0,0,0) L at anchor (0,0): cells (0,0), (1,0) and (1,1), at
+    # column-major positions 0, 1 and k+1, and the prefix its own positions
+    lo = [0] * (n + 1)
     cap = [k] * n
     for p in (0, 1, k + 1):
         cap[p] = 1
+    for p, digit in enumerate(prefix):
+        lo[p], cap[p] = digit, digit + 1
     # largest digit before each position: a normal form's next new digit
     # is at most one more
     maxu = [0] * (n + 1)
-    nodes = 0
-
-    def claim(i: int, digit: int) -> bool:
-        """Place digit at position i and claim its ledger slots; on a clash
-        undo the claims and return False."""
-        taken = []
-        for base, x, wx, y, wy, w in checks[i]:
-            slot = base + vals[x] * wx + vals[y] * wy + digit * w
-            if not room[slot]:
-                for s in taken:
-                    room[s] += 1
-                return False
-            room[slot] -= 1
-            taken.append(slot)
-        vals[order[i]] = digit
-        return True
-
-    def release(i: int) -> None:
-        digit = vals[order[i]]
-        for base, x, wx, y, wy, w in checks[i]:
-            room[base + vals[x] * wx + vals[y] * wy + digit * w] += 1
-
-    for i, digit in enumerate(prefix):
-        claim(i, digit)
-        maxu[i + 1] = max(maxu[i], digit)
-
+    nxt = lo[:]  # per position, the next digit to try
+    held: list[list[int]] = [[]] * n  # per position, the slots its digit took
+    start = len(prefix)
+    nodes = -start  # each pinned position tries its one digit
     solutions: list[tuple[int, ...]] = []
-    start = i = len(prefix)
-    nxt = [0] * (n + 1)  # per position, the next digit to try
     since_check = 0
-    while i >= start:
+    i = 0
+    while True:
         if i < end:
-            placed = False
             for digit in range(nxt[i], min(cap[i], maxu[i] + 2)):
                 nodes += 1
-                if claim(i, digit):
-                    placed = True
+                taken = []
+                for base, x, wx, y, wy, w in checks[i]:
+                    slot = base + vals[x] * wx + vals[y] * wy + digit * w
+                    if not room[slot]:
+                        for s in taken:
+                            room[s] += 1
+                        break
+                    room[slot] -= 1
+                    taken.append(slot)
+                else:  # every slot had room
                     break
-            if placed:
+            else:  # no digit fits here
+                taken = None
+            if taken is not None:
+                vals[order[i]] = digit
+                held[i] = taken
                 nxt[i] = digit + 1
                 maxu[i + 1] = max(maxu[i], digit)
                 i += 1
-                nxt[i] = 0
+                nxt[i] = lo[i]
                 if deadline is not None:
                     since_check += 1
                     if since_check >= 16384:
@@ -222,9 +215,10 @@ def _search_shard(k: int,
             if limit is not None and len(solutions) >= limit:
                 return solutions, nodes, False
         i -= 1
-        if i >= start:
-            release(i)
-    return solutions, nodes, True
+        if i < start:
+            return solutions, nodes, True
+        for s in held[i]:
+            room[s] += 1
 
 
 def _translation_maps(k: int) -> list[tuple[int, ...]]:
@@ -324,7 +318,7 @@ def _run_shards(k: int, workers, limit, deadline):
     sols: list[tuple[int, ...]] = []
     if not finished:  # the deadline cut the prefix pass: no shard starts
         return sols, nodes, False
-    if len(prefixes) == 1 or workers <= 1:
+    if len(prefixes) == 1:
         results = [_search_shard(k, pre, limit, deadline) for pre in prefixes]
     else:
         # imported here, so that runs without a pool do not load it
@@ -448,12 +442,8 @@ def canonicalize(g: DigitGrid, symmetry: str) -> DigitGrid:
     return DigitGrid._trusted(g.k, _orbit_reps(g.k, [g.cells], symmetry)[0])
 
 
-def orbit_count(solutions: Iterable[DigitGrid], symmetry: str,
-                complete: bool = True) -> int:
+def orbit_count(solutions: Iterable[DigitGrid], symmetry: str) -> int:
     """Number of distinct orbits in a complete raw solution set."""
-    if not complete:
-        raise IncompleteSearchError(
-            "orbit counting needs a complete solution set; this one was truncated")
     sols = list(solutions)
     if not sols:
         return 0

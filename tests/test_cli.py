@@ -131,6 +131,28 @@ class TestVerify:
                          "--format", "json", str(path))
         assert code == 0
 
+    @pytest.mark.parametrize("shape", [["l-array"], ["torus", "1", "3"],
+                                       ["sequence", "3"]])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_undecodable_file_exit_2(self, tmp_path, shape, fmt):
+        # a byte that is not UTF-8 is malformed input, as it is on stdin
+        (tmp_path / "bad.txt").write_bytes(b"2\n0 0 \xff 1\n0 1 1 0\n")
+        code, out, err = run_child(["verify", "--k", "2", "--shape", *shape,
+                                    "--format", fmt, "bad.txt"], tmp_path)
+        assert code == 2 and out == b""
+        assert err.startswith(b"error:") and b"Traceback" not in err
+
+    @pytest.mark.parametrize("shape", [["l-array"], ["torus", "1", "3"]])
+    def test_json_booleans_are_not_digits(self, tmp_path, capsys, shape):
+        # the construction's k=2 grid, written as false/true
+        path = tmp_path / "g.json"
+        path.write_text('{"k": 2, "rows": [[false, false, true, true], '
+                        '[false, true, true, false]]}')
+        code, out, err = run(capsys, "verify", "--k", "2", "--shape", *shape,
+                             "--format", "json", str(path))
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
     def test_dimension_error_exit_2(self, tmp_path, capsys):
         path = tmp_path / "t.txt"
         path.write_text("2\n0 1\n1 0\n")
@@ -436,9 +458,10 @@ def test_cli_contract_on_drawn_argv(tmp_path):
     (tmp_path / "zeros.txt").write_text("2\n0 0 0 0\n0 0 0 0\n")
     (tmp_path / "word.txt").write_text("00010111\n")
     (tmp_path / "junk.txt").write_text("not a grid\n")
+    (tmp_path / "bad.txt").write_bytes(b"2\n0 0 \xff 1\n0 1 1 0\n")
     (tmp_path / "dir").mkdir()
     paths = {"inputs": ["l2.txt", "l3.json", "zeros.txt", "word.txt",
-                        "junk.txt", "missing.txt", "dir", "-"],
+                        "junk.txt", "bad.txt", "missing.txt", "dir", "-"],
              "reports": ["report.json", "dir", "missing/report.json"],
              "requests": [
                  ["--k", "2", "--shape", "l-array", "l2.txt"],

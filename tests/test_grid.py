@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from debruijn_arrays.errors import DomainError, GridParseError
-from debruijn_arrays.grid import DigitGrid, relabel, translate
+from debruijn_arrays.grid import DigitGrid, parse_grid_json, relabel, translate
 from debruijn_arrays.construct import construct_l_array
 from debruijn_arrays.verify import verify_l_array
 
@@ -128,3 +128,15 @@ class TestSerialization:
             DigitGrid.from_json('{"k": 2}')
         with pytest.raises(GridParseError):
             DigitGrid.from_json('{"k": 2, "rows": [[0,0,1,1],[0,1,1,9]]}')
+
+    @pytest.mark.parametrize("text", [
+        '{"k": 2, "rows": [[false, false, true, true], [false, true, true, false]]}',
+        '{"k": 2, "rows": [[0, 0, 1, 1], [0, 1, true, 0]]}'])
+    def test_json_booleans_are_not_digits(self, text):
+        # bool is a subclass of int, but JSON true/false are not digits
+        with pytest.raises(GridParseError):
+            DigitGrid.from_json(text)
+
+    def test_json_boolean_k_refused(self):
+        with pytest.raises(GridParseError):
+            parse_grid_json('{"k": true, "rows": [[0, 0], [0, 0]]}')

@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from debruijn_arrays import search
 from debruijn_arrays.construct import construct_l_array
-from debruijn_arrays.errors import (BudgetError, DomainError,
-                                    IncompleteSearchError)
+from debruijn_arrays.errors import BudgetError, DomainError
 from debruijn_arrays.grid import DigitGrid, relabel, translate
 from debruijn_arrays.search import (SearchConfig, brute_filter, canonicalize,
                                     enumerate_l_arrays, orbit_count)
@@ -325,10 +324,6 @@ class TestSymmetry:
     def test_orbit_count_none_equals_raw(self, k2_enumerated):
         sols, report = k2_enumerated
         assert orbit_count(sols, "none") == report.raw_count
-
-    def test_orbit_count_refuses_partial(self):
-        with pytest.raises(IncompleteSearchError):
-            orbit_count([PAPER_2A], "translations", complete=False)
 
     def test_closure_under_symmetry(self, k2_brute):
         sols, _ = k2_brute

@@ -1,5 +1,4 @@
 import hashlib
-from itertools import product
 
 import pytest
 
