@@ -22,8 +22,8 @@ class DigitGrid:
     __slots__ = ("k", "cells")
 
     def __init__(self, k: int, rows: Iterable[Iterable[int]]):
-        if k < 2:
-            raise DomainError(f"alphabet size must be >= 2, got {k}")
+        if type(k) is not int or k < 2:
+            raise DomainError(f"alphabet size must be an int >= 2, got {k!r}")
         frozen = tuple(tuple(row) for row in rows)
         if len(frozen) != k:
             raise DomainError(f"expected {k} rows, got {len(frozen)}")
@@ -32,7 +32,8 @@ class DigitGrid:
             if len(row) != width:
                 raise DomainError(f"row {r} has {len(row)} entries, expected {width}")
             for j, e in enumerate(row):
-                if not isinstance(e, int) or not 0 <= e < k:
+                # a bool is an int, but it does not serialize as a digit
+                if type(e) is not int or not 0 <= e < k:
                     raise DomainError(f"entry {e!r} at ({r}, {j}) not in 0..{k - 1}")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "cells", tuple(chain.from_iterable(frozen)))
@@ -169,6 +170,7 @@ def translate(g: DigitGrid, dr: int, dj: int) -> DigitGrid:
 
 def relabel(g: DigitGrid, perm: Sequence[int]) -> DigitGrid:
     """Apply a digit permutation entrywise; perm must be a bijection on 0..k-1."""
-    if sorted(perm) != list(range(g.k)):
+    if (any(type(p) is not int for p in perm)
+            or sorted(perm) != list(range(g.k))):
         raise DomainError(f"{list(perm)} is not a permutation of 0..{g.k - 1}")
     return DigitGrid(g.k, (tuple(perm[e] for e in row) for row in g.rows))

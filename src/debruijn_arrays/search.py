@@ -22,6 +22,12 @@ cuts emits one orbit, that of the closed-form construction
 search whose expansion overruns the deadline stops at the next orbit
 boundary, having emitted at least one.
 
+Every run expands each hit by the part of that group its symmetry leaves
+(all of it, the relabelings, or the identity), then makes one reduction: a
+sort, or a sort of the distinct orbit representatives.  canonicalize and
+orbit_count share that reduction, the one place that refuses an unknown
+symmetry; orbit_count also refuses grids of mixed alphabet sizes.
+
 A run bounded by a solution limit takes the same path: its search stops
 after enough normal forms to cover the limit, and it emits the first
 `limit` grids of their sorted output.
@@ -64,14 +70,17 @@ class SearchConfig:
     time_budget: Optional[float] = None  # seconds
 
     def __post_init__(self):
-        if self.k < 2:
-            raise DomainError(f"alphabet size must be >= 2, got {self.k}")
+        # bool is a subclass of int, but no count or duration
+        if type(self.k) is not int or self.k < 2:
+            raise DomainError(f"alphabet size must be an int >= 2, got {self.k!r}")
         if self.symmetry not in SYMMETRIES:
             raise DomainError(f"unknown symmetry {self.symmetry!r}")
-        if self.limit is not None and self.limit <= 0:
-            raise DomainError("limit must be positive")
-        if self.time_budget is not None and not (
-                isfinite(self.time_budget) and self.time_budget > 0):
+        if self.limit is not None and (type(self.limit) is not int
+                                       or self.limit <= 0):
+            raise DomainError(f"limit must be a positive int, got {self.limit!r}")
+        if self.time_budget is not None and (
+                isinstance(self.time_budget, bool)
+                or not (isfinite(self.time_budget) and self.time_budget > 0)):
             raise DomainError("time budget must be a positive finite number")
 
 
@@ -234,18 +243,15 @@ def _translation_maps(k: int) -> list[tuple[int, ...]]:
 
 def _expand_orbit(k: int, flat: tuple[int, ...],
                   maps: list[tuple[int, ...]],
-                  zero_fixing_perms: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """All k*k^2*(k-1)! raw solutions generated by one canonical solution."""
+                  perms: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The images of one solution under every relabeling in perms followed
+    by every translation in maps; distinct, since both actions are free."""
     out = []
-    for perm in zero_fixing_perms:
+    for perm in perms:
         relabeled = tuple(perm[v] for v in flat)
         for mp in maps:
             out.append(tuple(relabeled[i] for i in mp))
     return out
-
-
-def _zero_fixing_perms(k: int) -> list[tuple[int, ...]]:
-    return [p for p in permutations(range(k)) if p[0] == 0]
 
 
 def _translation_canonical(flat: tuple[int, ...],
@@ -280,13 +286,15 @@ def _relabel_canonical(flat: tuple[int, ...],
 
 def _orbit_reps(k: int, flats: Iterable[tuple[int, ...]],
                 symmetry: str) -> list[tuple[int, ...]]:
-    """Distinct canonical orbit representatives, as sorted flat tuples.
+    """Distinct canonical orbit representatives, as sorted flat tuples;
+    under none, flats must already be distinct.
 
     Reduces under translations first; the relabel stage then only touches
     one representative per translation orbit, which keeps the combined
     quotient tractable for six-digit-figure raw sets.
     """
-    flats = set(flats)
+    if symmetry not in SYMMETRIES:
+        raise DomainError(f"unknown symmetry {symmetry!r}")
     if symmetry == "none":
         return sorted(flats)
     maps = _translation_maps(k)
@@ -369,8 +377,11 @@ def enumerate_l_arrays(cfg: SearchConfig,
             f"one orbit at k={k} under symmetry {cfg.symmetry!r} costs at "
             f"least {orbit_cells} cells, over the limit of {MAX_ORBIT_CELLS}")
     maps = _translation_maps(k)
-    perms = _zero_fixing_perms(k)
+    perms = [p for p in permutations(range(k)) if p[0] == 0]
     orbit = len(maps) * len(perms)
+    # the part of the group the symmetry does not fold (index 0: identity)
+    expand_maps = maps if cfg.symmetry == "none" else maps[:1]
+    expand_perms = perms if cfg.symmetry != "translations+relabel" else perms[:1]
     forms = None
     if cfg.limit is not None:
         # one shard, so the first orbits found do not depend on the workers
@@ -390,22 +401,13 @@ def enumerate_l_arrays(cfg: SearchConfig,
             complete = False
             break
         kept += 1
-        if cfg.symmetry == "none":
-            seeds.extend(_expand_orbit(k, flat, maps, perms))
-        elif cfg.symmetry == "translations":
-            # relabel images seed distinct translation orbits
-            seeds.extend(tuple(perm[v] for v in flat) for perm in perms)
-        else:
-            seeds.append(flat)
+        seeds.extend(_expand_orbit(k, flat, expand_maps, expand_perms))
     raw_count = kept * orbit
-    out_flats = (sorted(seeds) if cfg.symmetry == "none"
-                 else _orbit_reps(k, seeds, cfg.symmetry))
+    out_flats = _orbit_reps(k, seeds, cfg.symmetry)
     if cfg.limit is not None:
         raw_count = min(cfg.limit, raw_count)
         out_flats = out_flats[:cfg.limit]
-    orbits = None
-    if complete:
-        orbits = raw_count if cfg.symmetry == "none" else len(out_flats)
+    orbits = len(out_flats) if complete else None
 
     grids = [DigitGrid._trusted(k, f) for f in out_flats]
     report = SearchReport(raw_count=raw_count, orbit_count=orbits,
@@ -437,15 +439,16 @@ def brute_filter(k: int) -> tuple[list[DigitGrid], SearchReport]:
 
 def canonicalize(g: DigitGrid, symmetry: str) -> DigitGrid:
     """Lexicographically least grid in the orbit of g under the chosen group."""
-    if symmetry not in SYMMETRIES:
-        raise DomainError(f"unknown symmetry {symmetry!r}")
     return DigitGrid._trusted(g.k, _orbit_reps(g.k, [g.cells], symmetry)[0])
 
 
 def orbit_count(solutions: Iterable[DigitGrid], symmetry: str) -> int:
-    """Number of distinct orbits in a complete raw solution set."""
+    """Number of distinct orbits in a complete raw solution set of one k."""
     sols = list(solutions)
-    if not sols:
-        return 0
-    return len(_orbit_reps(sols[0].k, [g.cells for g in sols], symmetry))
+    ks = {g.k for g in sols}
+    if len(ks) > 1:
+        raise DomainError(f"solutions mix alphabet sizes {sorted(ks)}")
+    # no grids have no orbits, whatever their k
+    return len(_orbit_reps(min(ks, default=2), {g.cells for g in sols},
+                           symmetry))
 

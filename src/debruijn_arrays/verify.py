@@ -103,7 +103,7 @@ def verify_torus(rows: Sequence[Sequence[int]], k: int, m: int, n: int) -> Verif
         if len(row) != C:
             raise DomainError(f"ragged grid: row {i} has {len(row)} entries, expected {C}")
         for j, e in enumerate(row):
-            if not isinstance(e, int) or not 0 <= e < k:
+            if type(e) is not int or not 0 <= e < k:  # a bool is no digit
                 raise DomainError(f"entry {e!r} at ({i}, {j}) not in 0..{k - 1}")
     # k^e >= 2^e: an exponent past the cell count's bit length cannot match,
     # and k^e is not built for it
@@ -122,10 +122,10 @@ def verify_sequence(word: Union[str, Sequence[int]], k: int, n: int) -> VerifyRe
         raise DomainError(f"alphabet size must be >= 2, got {k}")
     if n < 1:
         raise DomainError(f"window length must be >= 1, got {n}")
-    digits = [int(ch) for ch in word] if isinstance(word, str) else [int(d) for d in word]
+    digits = [int(ch) for ch in word] if isinstance(word, str) else list(word)
     for i, d in enumerate(digits):
-        if not 0 <= d < k:
-            raise DomainError(f"digit {d} at position {i} not in 0..{k - 1}")
+        if type(d) is not int or not 0 <= d < k:  # no bools or floats
+            raise DomainError(f"digit {d!r} at position {i} not in 0..{k - 1}")
     if n > len(digits).bit_length() or k ** n != len(digits):  # see verify_torus
         raise DimensionError(
             f"word length {len(digits)} != k^n = {k}^{n} for (k={k}, n={n})")

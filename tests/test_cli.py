@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -380,6 +381,48 @@ class TestEnumerate:
             proc.kill()
             proc.wait()
         assert b"Traceback" not in err
+
+
+# stdout sha256 of enumerate runs; the k=3 searches take seconds each
+GOLDEN = [
+    ("--k 2",
+     "b251817dcce43ce8150ed031f9539bcfc49a3e8b50dfc319f5523fb400cb533a"),
+    ("--k 2 --symmetry translations",
+     "b92e7c54a963d5f34e5d1c1acd31d143ff51cbf8f0446c3789ccda908c8c892e"),
+    # every k=2 translation orbit is its own relabel image's orbit
+    ("--k 2 --symmetry translations+relabel",
+     "b92e7c54a963d5f34e5d1c1acd31d143ff51cbf8f0446c3789ccda908c8c892e"),
+    pytest.param(
+        "--k 3",
+        "5d0c90dd0c5fe5d5d62486174a65390ff81199901a74f8dc5fb806f99b23616e",
+        marks=pytest.mark.slow),
+    pytest.param(
+        "--k 3 --workers 2",
+        "5d0c90dd0c5fe5d5d62486174a65390ff81199901a74f8dc5fb806f99b23616e",
+        marks=pytest.mark.slow),
+    pytest.param(
+        "--k 3 --symmetry translations",
+        "55175650c53085e0fb096bd7c4a1d45ce3824d72ff0b711da2ab85d727f1535e",
+        marks=pytest.mark.slow),
+    pytest.param(
+        "--k 3 --symmetry translations+relabel",
+        "15d6c2e5e8e8c17dd46348df96ba7528ccf709bf1a9f5f1601190f07ca0c6a6c",
+        marks=pytest.mark.slow),
+    pytest.param(
+        "--k 3 --limit 5",
+        "5f44a059255d22bf0f703ee07b21b9d0887820547059f67b751a61eb7917f105",
+        marks=pytest.mark.slow),
+    ("--k 4 --limit 3 --symmetry translations+relabel",
+     "e957344e45d6daee05b3538a19931c96797a2b5025a1225c0067798914c4defa"),
+]
+
+
+@pytest.mark.parametrize("args,digest", GOLDEN)
+def test_enumerate_golden_stdout(tmp_path, args, digest):
+    code, out, err = run_child(["enumerate", *args.split()], tmp_path,
+                               timeout=300.0)
+    assert code in (0, 3), err
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 class TestUsage:

@@ -25,6 +25,14 @@ class TestDigitGrid:
             DigitGrid(2, [[0, 0, 0, 2], [0, 0, 0, 0]])  # digit out of range
         with pytest.raises(DomainError):
             DigitGrid(1, [[0]])
+        # a bool is an int, but to_text would write True, which from_text
+        # cannot read back
+        for entry in (True, False, 1.0, "1"):
+            with pytest.raises(DomainError):
+                DigitGrid(2, [[0, 0, 1, 1], [0, 1, 1, entry]])
+        for k in (2.0, True):
+            with pytest.raises(DomainError):
+                DigitGrid(k, [[0, 0, 1, 1], [0, 1, 1, 0]])
 
     def test_immutable(self):
         g = DigitGrid(2, [[0, 0, 1, 1], [0, 1, 1, 0]])
@@ -77,6 +85,9 @@ class TestTransforms:
         g = construct_l_array(2)
         with pytest.raises(DomainError):
             relabel(g, [0, 0])
+        for perm in ([True, False], [1.0, 0.0]):  # sorted() sees [0, 1]
+            with pytest.raises(DomainError):
+                relabel(g, perm)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_translates_stay_valid(self, k):

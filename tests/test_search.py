@@ -134,6 +134,12 @@ class TestConfig:
             SearchConfig(k=2, limit=0)
         with pytest.raises(DomainError):
             SearchConfig(k=2, time_budget=-1)
+        # bool is a subclass of int, but no count or duration
+        for bad in ({"k": 3.0}, {"k": True}, {"k": "3"},
+                    {"k": 2, "limit": 2.5}, {"k": 2, "limit": True},
+                    {"k": 2, "time_budget": True}):
+            with pytest.raises(DomainError):
+                SearchConfig(**bad)
 
     @pytest.mark.parametrize("budget", [float("nan"), float("inf"),
                                         float("-inf")])
@@ -388,6 +394,18 @@ class TestSymmetry:
     def test_canonicalize_unknown_symmetry(self):
         with pytest.raises(DomainError):
             canonicalize(PAPER_2A, "mirror")
+        for sols in ([], [PAPER_2A]):
+            with pytest.raises(DomainError):
+                orbit_count(sols, "mirror")
+        with pytest.raises(DomainError):
+            orbit_count([construct_l_array(2), construct_l_array(3)],
+                        "translations")
+
+    def test_orbit_count_counts_repeats_once(self):
+        assert orbit_count([], "none") == 0
+        assert orbit_count([PAPER_2A, PAPER_2A], "none") == 1
+        assert orbit_count([PAPER_2A, translate(PAPER_2A, 1, 1)],
+                           "translations") == 1
 
     def test_quotient_run_matches_post_hoc(self, k2_enumerated):
         raw, _ = k2_enumerated

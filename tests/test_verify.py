@@ -100,6 +100,9 @@ class TestVerifyTorus:
             verify_torus([[0, 2, 1, 0]] + [[0] * 4] * 3, 2, 2, 2)
         with pytest.raises(DomainError):
             verify_torus([[0, 0], [0]], 2, 1, 2)
+        for entry in (True, 1.0):
+            with pytest.raises(DomainError):
+                verify_torus([[0, 0, 0, 1, 0, 1, 1, entry]], 2, 1, 3)
 
 
 class TestVerifySequence:
@@ -128,6 +131,11 @@ class TestVerifySequence:
     def test_bad_digit(self):
         with pytest.raises(DomainError):
             verify_sequence("00010121", 2, 3)
+        # int() would truncate 0.9 to 0 and 1.7 to 1, a valid word
+        for word in ([0.9, 0, 0, 1.7, 0, 1, 1, 1], [0, 0, 0, 1, 0, 1, 1, True],
+                     list("00010111")):
+            with pytest.raises(DomainError):
+                verify_sequence(word, 2, 3)
 
     def test_accepts_int_sequences(self):
         assert verify_sequence([0, 0, 0, 1, 0, 1, 1, 1], 2, 3).valid
