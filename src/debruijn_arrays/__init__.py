@@ -3,7 +3,8 @@ exact counting, and exhaustive enumeration."""
 
 from .construct import (check_column_relation, check_diagonal_relation,
                         construct_l_array)
-from .errors import BudgetError, DimensionError, DomainError, GridParseError
+from .errors import (BudgetError, DimensionError, DomainError, GridParseError,
+                     InconsistencyError)
 from .grid import DigitGrid, relabel, translate
 from .search import (SearchConfig, SearchReport, brute_filter, canonicalize,
                      enumerate_l_arrays, orbit_count)
@@ -13,7 +14,7 @@ from .verify import VerifyReport, verify_l_array, verify_sequence, verify_torus
 
 __all__ = [
     "BudgetError", "DigitGrid", "DimensionError", "DomainError",
-    "GridParseError", "SearchConfig",
+    "GridParseError", "InconsistencyError", "SearchConfig",
     "SearchReport", "VerifyReport", "brute_filter", "canonicalize",
     "check_column_relation", "check_diagonal_relation",
     "construct_l_array", "count_best", "count_brute", "count_formula",

@@ -4,7 +4,8 @@ Subcommands: construct, verify, sequence, count, enumerate.
 
 Exit codes: 0 ok/valid, 1 property-invalid, 2 usage error or malformed
 input, 3 search truncated by limit/budget, 4 internal inconsistency
-(count methods disagree), 141 stdout closed by its reader (128 + SIGPIPE,
+(count methods disagree, or the search produced a grid that fails
+verification), 141 stdout closed by its reader (128 + SIGPIPE,
 as a shell reports a writer killed by a closed pipe).
 """
 
@@ -17,7 +18,8 @@ import os
 import sys
 
 from .construct import construct_l_array
-from .errors import BudgetError, DomainError, GridParseError
+from .errors import (BudgetError, DomainError, GridParseError,
+                     InconsistencyError)
 from .grid import DigitGrid, parse_grid_json, parse_grid_text
 from .search import SYMMETRIES, SearchConfig, enumerate_l_arrays
 from .sequences import (count_best, count_brute, count_formula,
@@ -91,6 +93,9 @@ def main(argv=None) -> int:
     except (DomainError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InconsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
     except BrokenPipeError:
         # The reader closed stdout (e.g. `| head`).  Point stdout at devnull
         # so the interpreter's final flush cannot raise again; see "Note on
@@ -184,12 +189,46 @@ def _run_count(args) -> int:
             raise BudgetError(f"every method is over its budget for "
                               f"(k={args.k}, n={args.n})")
         if len(set(values.values())) > 1:
-            print(f"error: count methods disagree: {values}", file=sys.stderr)
-            return EXIT_INCONSISTENT
+            raise InconsistencyError(f"count methods disagree: {values}")
         print(next(iter(values.values())))
         return EXIT_OK
     print(methods[args.method](args.k, args.n))
     return EXIT_OK
+
+
+# _write_text caches rows only when all k^(k^2) possible rows fit, so for
+# k <= 3; a k=6 orbit has tens of thousands of distinct 36-digit rows, and
+# caching them would add megabytes to a run
+MAX_CACHED_ROWS = 1 << 15
+
+
+def _write_text(k: int, grids) -> None:
+    """Write each k-grid as DigitGrid.to_text does, with a blank line
+    between grids, about a thousand strings per write call.  Grids of one
+    orbit share rows, so at small k each distinct row is formatted once."""
+    k2 = k * k
+    cache = k ** k2 <= MAX_CACHED_ROWS
+    rows: dict[tuple[int, ...], str] = {}
+    digits = [str(d) for d in range(k)]
+    head, sep = f"{k}\n", f"\n{k}\n"
+    write = sys.stdout.write
+    parts: list[str] = []
+    for i, g in enumerate(grids):
+        cells = g.cells
+        parts.append(sep if i else head)
+        for a in range(0, len(cells), k2):
+            row = cells[a:a + k2]
+            text = rows.get(row) if cache else None
+            if text is None:
+                text = " ".join([digits[v] for v in row]) + "\n"
+                if cache:
+                    rows[row] = text
+            parts.append(text)
+        # a write call per grid costs more than formatting it
+        if len(parts) >= 1024:
+            write("".join(parts))
+            parts.clear()
+    write("".join(parts))
 
 
 def _run_enumerate(args) -> int:
@@ -207,10 +246,7 @@ def _run_enumerate(args) -> int:
         if args.format == "json":
             print("[" + ", ".join(g.to_json() for g in solutions) + "]")
         else:
-            for i, g in enumerate(solutions):
-                if i:
-                    print()
-                sys.stdout.write(g.to_text())
+            _write_text(cfg.k, solutions)
         print(json.dumps(report.to_json_dict(), separators=(", ", ": ")),
               file=report_fh)
     return EXIT_OK if report.complete else EXIT_TRUNCATED

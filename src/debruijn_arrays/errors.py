@@ -13,6 +13,10 @@ class BudgetError(RuntimeError):
     """The requested instance exceeds a hard enumeration/matrix budget."""
 
 
+class InconsistencyError(RuntimeError):
+    """The program's own result failed its check: a defect, not bad input."""
+
+
 class GridParseError(ValueError):
     """Malformed grid/sequence text or JSON. Carries a line/column when known."""
 

@@ -7,7 +7,7 @@ vertical pairs, each pair value claimed at most k times (every pair value
 combines with exactly k third digits, so a valid array holds it exactly k
 times).  A clash prunes the branch on the spot.
 
-Complete enumerations exploit two free group actions on the solution set.
+Complete enumerations exploit three symmetries of the solution set.
 Translations act freely (a translation-invariant grid would repeat a
 filling) and so do digit relabelings (every digit occurs in a valid array),
 and the all-zeros L filling occurs at exactly one anchor.  Searching only
@@ -16,11 +16,17 @@ appearing in ascending order along the columns - and expanding each hit by
 all k*k^2 translations and (k-1)! zero-fixing relabelings therefore recovers
 every raw solution exactly once, at roughly 1/(k^3 * (k-1)!) of the search
 cost.  Normal forms are searched in column-major order, where every cell
-from the second column on closes windows.  A run whose search the deadline
-cuts emits one orbit, that of the closed-form construction
-(construct_l_array), the one solution known without searching; a finished
-search whose expansion overruns the deadline stops at the next orbit
-boundary, having emitted at least one.
+from the second column on closes windows.  The third symmetry is
+sigma(G)[(c - r) mod k][c] = G[r][c], which turns each window's filling
+(a, b, d) into (b, a, d) and so maps normal forms to normal forms: the
+search keeps only the lex-leader of each pair {G, nf(sigma(G))}, checked
+column by column, and a finished search adds each leader's partner before
+expansion.  A run whose search the deadline cuts emits one orbit, that of
+the closed-form construction (construct_l_array), the one solution known
+without searching; a finished search whose expansion overruns the deadline
+stops at the next orbit boundary, having emitted at least one.  Every grid
+that seeds an expansion is verified first; one that fails raises
+InconsistencyError.
 
 Every run expands each hit by the part of that group its symmetry leaves
 (all of it, the relabelings, or the identity), then makes one reduction: a
@@ -29,8 +35,10 @@ orbit_count share that reduction, the one place that refuses an unknown
 symmetry; orbit_count also refuses grids of mixed alphabet sizes.
 
 A run bounded by a solution limit takes the same path: its search stops
-after enough normal forms to cover the limit, and it emits the first
-`limit` grids of their sorted output.
+after enough leaders to cover the limit, each a whole orbit, and it emits
+the first `limit` grids of their sorted output.  A search that finishes
+before it finds that many leaders adds their partners, as a complete run
+does.
 
 The normal-form search can be sharded on states the kernel reached, found
 by running it to a fixed depth; shards are independent and merged in state
@@ -44,10 +52,11 @@ import time
 from dataclasses import dataclass
 from itertools import permutations, product
 from math import isfinite
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .construct import construct_l_array
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, InconsistencyError
 from .grid import DigitGrid
 from .verify import verify_l_array
 
@@ -137,6 +146,32 @@ def _closing_checks(k: int, order: list[int]) -> list[list[tuple[int, ...]]]:
     return checks
 
 
+def _lex_maps(k: int) -> list[tuple[int, ...]]:
+    """Cell maps of the symmetries the search breaks by a lex-leader check.
+
+    Each map gives, for every column-major position p (cell (p mod k,
+    p div k)), the row-major index of the cell whose digit the image holds
+    there.  Each image keeps the (0,0,0) L at anchor (0,0) and a column's
+    cells in that column, so its normal form is its first-occurrence
+    relabeling, and its first columns depend only on the grid's first
+    columns.  Only sigma is listed, followed by a one-row translation that
+    brings its (0,0,0) L back to anchor (0,0): H[r][c] = G[(c + 1 - r) mod
+    k][c].
+    """
+    k2 = k * k
+    return [tuple(((c + 1 - r) % k) * k2 + c
+                  for c in range(k2) for r in range(k))]
+
+
+def _image_form(k: int, flat: tuple[int, ...],
+                src: tuple[int, ...]) -> tuple[int, ...]:
+    """Normal form of the image of flat under the _lex_maps map src: its
+    digits in column-major order relabeled by first occurrence, stored
+    row-major."""
+    form = _first_occurrence(tuple(flat[s] for s in src))
+    return tuple(form[c * k + r] for r in range(k) for c in range(k * k))
+
+
 def _search_shard(k: int,
                   prefix: tuple[int, ...],
                   limit: Optional[int],
@@ -149,14 +184,22 @@ def _search_shard(k: int,
 
     Each position tries its digit range in ascending order.  The prefix
     pins each of its positions to the one-digit range [digit, digit + 1),
-    and the shard ends when the search backtracks into it.  Returns (normal
-    forms as row-major flat digit tuples, nodes visited, finished);
-    finished is False when a limit of normal forms or the deadline cut the
-    shard short.  A shard whose deadline has already passed returns at
+    and the shard ends when the search backtracks into it.  Returns (the
+    lex-leader normal forms below, as row-major flat digit tuples, nodes
+    visited, finished); finished is False when a limit of leaders or the
+    deadline cut the shard short.  A shard whose deadline has already passed returns at
     once, unfinished, so shards queued behind a cut one do no work.  A node
     is one digit tried at one position; the pinned positions count none.
     Given a `stop` position, the search ends there and returns the states
     it reaches, as prefixes (digits in cell order), instead of normal forms.
+
+    The search keeps only lex-leaders: each time a column is complete, the
+    digit that completed it is rejected when the normal form of an image
+    under a _lex_maps symmetry is smaller than the grid in column-major
+    order over the columns placed so far.  Of each pair {G, nf(sigma(G))}
+    it finds the smaller, once, or G alone when the two are equal; the
+    caller adds the partners.  The check reads only the prefix, so states,
+    shards and node counts obey it alike.
     """
     if deadline is not None and time.monotonic() > deadline:
         return [], 0, False
@@ -165,6 +208,10 @@ def _search_shard(k: int,
     end = n if stop is None else stop
     order = [(i % k) * k2 + i // k for i in range(n)]
     checks = _closing_checks(k, order)
+    # per column, the images whose normal form ties the grid on every
+    # column before it, each with its digit labels so far
+    tied: list[list[tuple[tuple[int, ...], dict[int, int]]]] = (
+        [[(src, {}) for src in _lex_maps(k)]] + [[]] * k2)
     room = [1] * k ** 3 + [k] * (2 * k2)
     vals = [0] * n  # row-major, like the solutions
     # each position tries the digits from lo up to below cap; a normal form
@@ -183,6 +230,28 @@ def _search_shard(k: int,
     held: list[list[int]] = [[]] * n  # per position, the slots its digit took
     start = len(prefix)
     nodes = -start  # each pinned position tries its one digit
+    col_end = [i % k == k - 1 for i in range(n)]
+
+    def leads(i: int, digit: int) -> bool:
+        """Whether no image is smaller than the grid once digit completes
+        position i's column; records the images still tied."""
+        vals[order[i]] = digit
+        col = i // k
+        still = []
+        for src, labels in tied[col]:
+            labels = labels.copy()
+            for p in range(i + 1 - k, i + 1):
+                h = labels.setdefault(vals[src[p]], len(labels))
+                g = vals[order[p]]
+                if h != g:
+                    if h < g:
+                        return False
+                    break  # the image is larger, whatever follows
+            else:
+                still.append((src, labels))
+        tied[col + 1] = still
+        return True
+
     solutions: list[tuple[int, ...]] = []
     since_check = 0
     i = 0
@@ -200,7 +269,10 @@ def _search_shard(k: int,
                     room[slot] -= 1
                     taken.append(slot)
                 else:  # every slot had room
-                    break
+                    if not col_end[i] or leads(i, digit):
+                        break
+                    for s in taken:
+                        room[s] += 1
             else:  # no digit fits here
                 taken = None
             if taken is not None:
@@ -246,11 +318,12 @@ def _expand_orbit(k: int, flat: tuple[int, ...],
                   perms: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """The images of one solution under every relabeling in perms followed
     by every translation in maps; distinct, since both actions are free."""
+    # a map has k^3 >= 8 entries, so each getter returns a tuple
+    getters = [itemgetter(*mp) for mp in maps]
     out = []
     for perm in perms:
-        relabeled = tuple(perm[v] for v in flat)
-        for mp in maps:
-            out.append(tuple(relabeled[i] for i in mp))
+        relabeled = tuple(map(perm.__getitem__, flat))
+        out.extend([get(relabeled) for get in getters])
     return out
 
 
@@ -352,10 +425,12 @@ def enumerate_l_arrays(cfg: SearchConfig,
 
     Every run goes through the normal-form search plus orbit expansion.  A
     run bounded by a solution limit searches in one shard and stops after
-    ceil(limit / (k^3 * (k-1)!)) normal forms, enough orbits to hold the
+    ceil(limit / (k^3 * (k-1)!)) lex-leaders, enough orbits to hold the
     limit; it emits the first `limit` grids (or representatives) of their
-    sorted output.  Raises BudgetError before searching when a run would
-    have to build or read more than MAX_ORBIT_CELLS cells per orbit.
+    sorted output.  A run is complete when its search finished and the
+    limit cut no grid.  Raises BudgetError before searching when a run
+    would have to build or read more than MAX_ORBIT_CELLS cells per orbit,
+    and InconsistencyError when a grid it would expand fails verification.
     Starts at most os.cpu_count() processes, whatever `workers` asks.
     """
     if workers < 1:
@@ -386,8 +461,19 @@ def enumerate_l_arrays(cfg: SearchConfig,
     if cfg.limit is not None:
         # one shard, so the first orbits found do not depend on the workers
         forms, workers = -(-cfg.limit // orbit), 1
-    canon_flats, nodes, complete = _run_shards(k, workers, forms, deadline)
-    if not complete and len(canon_flats) != forms:
+    leaders, nodes, complete = _run_shards(k, workers, forms, deadline)
+    if complete:
+        # every normal form: each leader and its distinct partners
+        lex = _lex_maps(k)
+        canon_flats = []
+        for flat in leaders:
+            canon_flats.append(flat)
+            canon_flats.extend({_image_form(k, flat, src) for src in lex}
+                               - {flat})
+    elif len(leaders) == forms:
+        # the limit cut the search: each leader is a whole orbit, enough
+        canon_flats = leaders
+    else:
         # the deadline cut the search: emit the construction's orbit; any
         # member seeds the same orbit and the same quotient representatives
         # as its normal form
@@ -400,11 +486,15 @@ def enumerate_l_arrays(cfg: SearchConfig,
         if kept and deadline is not None and time.monotonic() > deadline:
             complete = False
             break
+        if not verify_l_array(DigitGrid._trusted(k, flat)).valid:
+            raise InconsistencyError(
+                f"a grid to emit at k={k} fails verification: {flat}")
         kept += 1
         seeds.extend(_expand_orbit(k, flat, expand_maps, expand_perms))
     raw_count = kept * orbit
     out_flats = _orbit_reps(k, seeds, cfg.symmetry)
     if cfg.limit is not None:
+        complete = complete and raw_count <= cfg.limit
         raw_count = min(cfg.limit, raw_count)
         out_flats = out_flats[:cfg.limit]
     orbits = len(out_flats) if complete else None

@@ -78,6 +78,16 @@ def _check_windows(cells: Sequence[int], R: int, C: int, k: int,
                         positions_checked=R * C)
 
 
+def _check_sizes(k, *dims) -> None:
+    """Refuse an alphabet size below 2 or a window dimension below 1; each
+    must be an int, not a bool or a float."""
+    if type(k) is not int or k < 2:
+        raise DomainError(f"alphabet size must be an int >= 2, got {k!r}")
+    for d in dims:
+        if type(d) is not int or d < 1:
+            raise DomainError(f"window dimensions must be ints >= 1, got {d!r}")
+
+
 def verify_l_array(g: DigitGrid) -> VerifyReport:
     """Check that the k^3 L windows of g realize every filling exactly once."""
     return _check_windows(g.cells, g.k, g.k * g.k, g.k, _L_WINDOW)
@@ -90,10 +100,7 @@ def verify_torus(rows: Sequence[Sequence[int]], k: int, m: int, n: int) -> Verif
     k**(m*n) possible m x n fillings must appear exactly once among the
     R*C sliding windows.
     """
-    if k < 2:
-        raise DomainError(f"alphabet size must be >= 2, got {k}")
-    if m < 1 or n < 1:
-        raise DomainError(f"window dims must be positive, got {m}x{n}")
+    _check_sizes(k, m, n)
     grid = [list(row) for row in rows]
     R = len(grid)
     if R == 0:
@@ -118,11 +125,11 @@ def verify_torus(rows: Sequence[Sequence[int]], k: int, m: int, n: int) -> Verif
 
 def verify_sequence(word: Union[str, Sequence[int]], k: int, n: int) -> VerifyReport:
     """Check that a cyclic word of length k^n contains every n-gram exactly once."""
-    if k < 2:
-        raise DomainError(f"alphabet size must be >= 2, got {k}")
-    if n < 1:
-        raise DomainError(f"window length must be >= 1, got {n}")
-    digits = [int(ch) for ch in word] if isinstance(word, str) else list(word)
+    _check_sizes(k, n)
+    # a character that is no decimal digit stays as it is, and is refused
+    # below with its position
+    digits = ([int(ch) if ch.isdecimal() else ch for ch in word]
+              if isinstance(word, str) else list(word))
     for i, d in enumerate(digits):
         if type(d) is not int or not 0 <= d < k:  # no bools or floats
             raise DomainError(f"digit {d!r} at position {i} not in 0..{k - 1}")

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from debruijn_arrays import cli
+from debruijn_arrays import cli, search
 from debruijn_arrays.cli import main
 from debruijn_arrays.construct import construct_l_array
 from debruijn_arrays.grid import DigitGrid
@@ -225,6 +225,13 @@ class TestSequenceAndCount:
         assert code == 0
         assert out.strip() == "2"
 
+    def test_count_methods_disagree_exit_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "count_brute", lambda k, n: 3)
+        code, out, err = run(capsys, "count", "--k", "2", "--n", "3",
+                             "--method", "all")
+        assert code == cli.EXIT_INCONSISTENT
+        assert out == "" and err.startswith("error: count methods disagree")
+
     def test_brute_over_budget_exit_2(self, capsys):
         code, _, err = run(capsys, "count", "--k", "2", "--n", "5", "--method", "brute")
         assert code == 2
@@ -278,6 +285,27 @@ class TestEnumerate:
         assert report["complete"] is False
         assert report["raw_count"] == 2
         assert len(out.strip().split("\n\n")) == 2
+
+    @pytest.mark.parametrize("k,limit", [(2, None), (3, 60), (4, 3)])
+    def test_text_format_is_to_text(self, capsys, k, limit):
+        # rows are cached at k <= 3 and formatted each time at k = 4
+        argv = ["enumerate", "--k", str(k)]
+        if limit is not None:
+            argv += ["--limit", str(limit)]
+        _, out, _ = run(capsys, *argv)
+        grids, _ = enumerate_l_arrays(SearchConfig(k=k, limit=limit))
+        assert out == "\n".join(g.to_text() for g in grids)
+
+    def test_grid_failing_verification_exit_4(self, monkeypatch, capsys):
+        # the search's output is verified before it is expanded or written
+        flat = construct_l_array(2).cells
+        bad = flat[:-1] + (1 - flat[-1],)
+        monkeypatch.setattr(search, "_run_shards",
+                            lambda *args: ([bad], 0, True))
+        code, out, err = run(capsys, "enumerate", "--k", "2")
+        assert code == cli.EXIT_INCONSISTENT
+        assert out == "" and err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_json_format(self, capsys):
         code, out, err = run(capsys, "enumerate", "--k", "2", "--format", "json")

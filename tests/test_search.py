@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from debruijn_arrays import search
 from debruijn_arrays.construct import construct_l_array
-from debruijn_arrays.errors import BudgetError, DomainError
+from debruijn_arrays.errors import (BudgetError, DomainError,
+                                    InconsistencyError)
 from debruijn_arrays.grid import DigitGrid, relabel, translate
 from debruijn_arrays.search import (SearchConfig, brute_filter, canonicalize,
                                     enumerate_l_arrays, orbit_count)
@@ -92,6 +93,35 @@ def construction_orbit(k):
                    for dr in range(k) for dj in range(k * k)
                    for p in permutations(range(k)) if p[0] == 0},
                   key=lambda h: h.rows)
+
+
+def sigma(g):
+    """The map sigma(G)[(c - r) mod k][c] = G[r][c], which turns each
+    window's filling (a, b, d) into (b, a, d)."""
+    k, k2 = g.k, g.k * g.k
+    rows = [[0] * k2 for _ in range(k)]
+    for r, row in enumerate(g.rows):
+        for c, v in enumerate(row):
+            rows[(c - r) % k][c] = v
+    return DigitGrid(k, rows)
+
+
+def column_major(g):
+    return tuple(g.rows[r][c] for c in range(g.k * g.k) for r in range(g.k))
+
+
+def normal_form(g):
+    """The orbit member of an L-array with its (0,0,0) L at anchor (0,0)
+    and its digits first occurring in ascending order along the columns."""
+    k, k2, rows = g.k, g.k * g.k, g.rows
+    (r, c), = [(r, c) for r in range(k) for c in range(k2)
+               if rows[r][c] == rows[(r + 1) % k][c]
+               == rows[(r + 1) % k][(c + 1) % k2] == 0]
+    moved = translate(g, -r, -c)
+    labels = {}
+    for v in column_major(moved):
+        labels.setdefault(v, len(labels))
+    return relabel(moved, [labels[d] for d in range(k)])
 
 
 def clashes(k, state):
@@ -310,6 +340,16 @@ class TestLimitsAndBudgets:
         assert not report.complete and report.orbit_count is None
         assert sols == construction_orbit(3)
 
+    def test_grid_failing_verification_is_refused(self, monkeypatch):
+        # a normal form with one digit changed, as a faulty search would
+        # return it: the run raises before expanding it
+        forms, nodes, _ = search._search_shard(2, (), None, None)
+        bad = forms[0][:-1] + (1 - forms[0][-1],)
+        monkeypatch.setattr(search, "_run_shards",
+                            lambda *args: ([bad], nodes, True))
+        with pytest.raises(InconsistencyError):
+            enumerate_l_arrays(SearchConfig(k=2))
+
     def test_brute_filter_budget(self):
         with pytest.raises(BudgetError):
             brute_filter(3)
@@ -391,6 +431,10 @@ class TestSymmetry:
         reps = search._orbit_reps(k, [flat], "translations+relabel")
         assert len(reps) == 1 and len(built) == k ** 3
 
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_sigma_maps_the_construction_to_an_l_array(self, k):
+        assert verify_l_array(sigma(construct_l_array(k))).valid
+
     def test_canonicalize_unknown_symmetry(self):
         with pytest.raises(DomainError):
             canonicalize(PAPER_2A, "mirror")
@@ -466,11 +510,11 @@ class TestDeterminismAndSharding:
         assert report.nodes_visited == k2_enumerated[1].nodes_visited
 
     def test_shard_states_are_kernel_states(self):
-        # the kernel run to depth 7: 25 states, each a consistent partial
+        # the kernel run to depth 7: 17 states, each a consistent partial
         # normal form, where enumerating normal-form prefixes gave 41, 16 of
         # them clashing at once
         states, nodes, finished = search._shard_prefixes(3, 2)
-        assert finished and len(states) == 25 and nodes > 0
+        assert finished and len(states) == 17 and nodes > 0
         assert states == sorted(set(states))
         assert {len(s) for s in states} == {7}
         assert not any(clashes(3, s) for s in states)
@@ -564,13 +608,45 @@ class TestK3:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)  # no cap below 3
         sols, report = enumerate_l_arrays(SearchConfig(k=3), workers=3)
         assert report.complete
-        assert report.nodes_visited == k3_enumerated[1].nodes_visited == 2_439_815
+        assert report.nodes_visited == k3_enumerated[1].nodes_visited == 1_226_504
         assert sols == k3_enumerated[0]
 
     def test_orbit_counts(self, k3_enumerated):
         sols, _ = k3_enumerated
         assert orbit_count(sols, "translations") == K3_TRANSLATION_ORBITS
         assert orbit_count(sols, "translations+relabel") == K3_FULL_ORBITS
+
+    def test_leaders_and_partners_are_the_normal_forms(self, k3_enumerated):
+        sols, _ = k3_enumerated
+        forms = {g for g in sols if normal_form(g) == g}
+        assert len(forms) == 3672
+        flats, _, finished = search._search_shard(3, (), None, None)
+        leaders = [DigitGrid._trusted(3, f) for f in flats]
+        partners = [normal_form(sigma(g)) for g in leaders]
+        assert finished and len(leaders) == len(set(leaders)) == 1905
+        assert sum(p == g for p, g in zip(partners, leaders)) == 138
+        assert set(leaders) | set(partners) == forms
+        # each leader is the column-major lesser of its sigma pair, and
+        # the run's partner is that normal form
+        src, = search._lex_maps(3)
+        for g, p in zip(leaders, partners):
+            assert column_major(g) <= column_major(p)
+            assert search._image_form(3, g.cells, src) == p.cells
+
+    def test_sigma_maps_the_output_onto_itself(self, k3_enumerated):
+        sols, _ = k3_enumerated
+        assert {sigma(g) for g in sols} == set(sols)
+
+    def test_limit_past_the_leaders_orbits(self, k3_enumerated):
+        # 1 905 leader orbits hold 102 870 grids: a larger limit finishes
+        # the search, and the partners fill the rest of the limit
+        sols, report = enumerate_l_arrays(SearchConfig(k=3, limit=110_000))
+        assert sols == k3_enumerated[0][:110_000]
+        assert report.raw_count == 110_000
+        assert not report.complete and report.orbit_count is None
+        sols, report = enumerate_l_arrays(SearchConfig(k=3, limit=K3_RAW))
+        assert sols == k3_enumerated[0]
+        assert report.complete and report.orbit_count == K3_RAW
 
     def test_sample_validity(self, k3_enumerated):
         sols, _ = k3_enumerated

@@ -104,6 +104,13 @@ class TestVerifyTorus:
             with pytest.raises(DomainError):
                 verify_torus([[0, 0, 0, 1, 0, 1, 1, entry]], 2, 1, 3)
 
+    @pytest.mark.parametrize("k,m,n", [(2.0, 1, 3), (True, 1, 3),
+                                       (2, 1.0, 3), (2, 1, 3.0)])
+    def test_non_int_sizes_rejected(self, k, m, n):
+        # a float k once reached the window tally and raised TypeError
+        with pytest.raises(DomainError):
+            verify_torus([[0, 0, 0, 1, 0, 1, 1, 1]], k, m, n)
+
 
 class TestVerifySequence:
     def test_paper_word(self):
@@ -136,6 +143,18 @@ class TestVerifySequence:
                      list("00010111")):
             with pytest.raises(DomainError):
                 verify_sequence(word, 2, 3)
+
+    @pytest.mark.parametrize("k,n", [(2.0, 3), (2, 3.0), (True, 3)])
+    def test_non_int_sizes_rejected(self, k, n):
+        # a float k once reached the window tally and raised TypeError
+        with pytest.raises(DomainError):
+            verify_sequence([0, 0, 0, 1, 0, 1, 1, 1], k, n)
+
+    @pytest.mark.parametrize("word", ["0001011a", "0001 011", "000101\n1"])
+    def test_non_digit_character_rejected(self, word):
+        # int() once raised a bare ValueError for these
+        with pytest.raises(DomainError, match="position"):
+            verify_sequence(word, 2, 3)
 
     def test_accepts_int_sequences(self):
         assert verify_sequence([0, 0, 0, 1, 0, 1, 1, 1], 2, 3).valid
