@@ -196,39 +196,15 @@ def _run_count(args) -> int:
     return EXIT_OK
 
 
-# _write_text caches rows only when all k^(k^2) possible rows fit, so for
-# k <= 3; a k=6 orbit has tens of thousands of distinct 36-digit rows, and
-# caching them would add megabytes to a run
-MAX_CACHED_ROWS = 1 << 15
-
-
-def _write_text(k: int, grids) -> None:
-    """Write each k-grid as DigitGrid.to_text does, with a blank line
-    between grids, about a thousand strings per write call.  Grids of one
-    orbit share rows, so at small k each distinct row is formatted once."""
-    k2 = k * k
-    cache = k ** k2 <= MAX_CACHED_ROWS
-    rows: dict[tuple[int, ...], str] = {}
-    digits = [str(d) for d in range(k)]
-    head, sep = f"{k}\n", f"\n{k}\n"
+def _write_text(grids) -> None:
+    """Write each grid's to_text, with a blank line between grids.  A write
+    call per grid costs more than formatting it, so 256 grids go to each
+    call; the whole output is never built, and at k=6 a batch stays near
+    100 kB."""
     write = sys.stdout.write
-    parts: list[str] = []
-    for i, g in enumerate(grids):
-        cells = g.cells
-        parts.append(sep if i else head)
-        for a in range(0, len(cells), k2):
-            row = cells[a:a + k2]
-            text = rows.get(row) if cache else None
-            if text is None:
-                text = " ".join([digits[v] for v in row]) + "\n"
-                if cache:
-                    rows[row] = text
-            parts.append(text)
-        # a write call per grid costs more than formatting it
-        if len(parts) >= 1024:
-            write("".join(parts))
-            parts.clear()
-    write("".join(parts))
+    for a in range(0, len(grids), 256):
+        write(("\n" if a else "")
+              + "\n".join([g.to_text() for g in grids[a:a + 256]]))
 
 
 def _run_enumerate(args) -> int:
@@ -246,7 +222,7 @@ def _run_enumerate(args) -> int:
         if args.format == "json":
             print("[" + ", ".join(g.to_json() for g in solutions) + "]")
         else:
-            _write_text(cfg.k, solutions)
+            _write_text(solutions)
         print(json.dumps(report.to_json_dict(), separators=(", ", ": ")),
               file=report_fh)
     return EXIT_OK if report.complete else EXIT_TRUNCATED

@@ -146,29 +146,29 @@ def _closing_checks(k: int, order: list[int]) -> list[list[tuple[int, ...]]]:
     return checks
 
 
-def _lex_maps(k: int) -> list[tuple[int, ...]]:
-    """Cell maps of the symmetries the search breaks by a lex-leader check.
+def _sigma_map(k: int) -> tuple[int, ...]:
+    """Cell map of sigma, the symmetry the search breaks by a lex-leader
+    check: for every column-major position p (cell (p mod k, p div k)), the
+    row-major index of the cell whose digit the image holds there.
 
-    Each map gives, for every column-major position p (cell (p mod k,
-    p div k)), the row-major index of the cell whose digit the image holds
-    there.  Each image keeps the (0,0,0) L at anchor (0,0) and a column's
-    cells in that column, so its normal form is its first-occurrence
-    relabeling, and its first columns depend only on the grid's first
-    columns.  Only sigma is listed, followed by a one-row translation that
-    brings its (0,0,0) L back to anchor (0,0): H[r][c] = G[(c + 1 - r) mod
-    k][c].
+    sigma is followed by a one-row translation that brings its (0,0,0) L
+    back to anchor (0,0): H[r][c] = G[(c + 1 - r) mod k][c].  H keeps a
+    column's cells in that column, so its normal form is its
+    first-occurrence relabeling and its first columns depend only on the
+    grid's first columns.  sigma is an involution, so a leader and its
+    partner are the whole of their class; a second map would need the
+    partners to come from the group the maps generate.
     """
     k2 = k * k
-    return [tuple(((c + 1 - r) % k) * k2 + c
-                  for c in range(k2) for r in range(k))]
+    return tuple(((c + 1 - r) % k) * k2 + c
+                 for c in range(k2) for r in range(k))
 
 
-def _image_form(k: int, flat: tuple[int, ...],
-                src: tuple[int, ...]) -> tuple[int, ...]:
-    """Normal form of the image of flat under the _lex_maps map src: its
-    digits in column-major order relabeled by first occurrence, stored
-    row-major."""
-    form = _first_occurrence(tuple(flat[s] for s in src))
+def _sigma_form(k: int, flat: tuple[int, ...],
+                sigma: tuple[int, ...]) -> tuple[int, ...]:
+    """nf(sigma(flat)), given sigma's _sigma_map: the image's digits in
+    column-major order relabeled by first occurrence, stored row-major."""
+    form = _first_occurrence(tuple(flat[s] for s in sigma))
     return tuple(form[c * k + r] for r in range(k) for c in range(k * k))
 
 
@@ -194,8 +194,8 @@ def _search_shard(k: int,
     it reaches, as prefixes (digits in cell order), instead of normal forms.
 
     The search keeps only lex-leaders: each time a column is complete, the
-    digit that completed it is rejected when the normal form of an image
-    under a _lex_maps symmetry is smaller than the grid in column-major
+    digit that completed it is rejected when the normal form of the grid's
+    image under sigma (_sigma_map) is smaller than the grid in column-major
     order over the columns placed so far.  Of each pair {G, nf(sigma(G))}
     it finds the smaller, once, or G alone when the two are equal; the
     caller adds the partners.  The check reads only the prefix, so states,
@@ -208,10 +208,10 @@ def _search_shard(k: int,
     end = n if stop is None else stop
     order = [(i % k) * k2 + i // k for i in range(n)]
     checks = _closing_checks(k, order)
-    # per column, the images whose normal form ties the grid on every
-    # column before it, each with its digit labels so far
-    tied: list[list[tuple[tuple[int, ...], dict[int, int]]]] = (
-        [[(src, {}) for src in _lex_maps(k)]] + [[]] * k2)
+    sigma = _sigma_map(k)
+    # per column, the digit labels of sigma's image while its normal form
+    # ties the grid on every column before it, None once it is larger
+    labels: list[Optional[dict[int, int]]] = [{}] + [None] * k2
     room = [1] * k ** 3 + [k] * (2 * k2)
     vals = [0] * n  # row-major, like the solutions
     # each position tries the digits from lo up to below cap; a normal form
@@ -233,23 +233,22 @@ def _search_shard(k: int,
     col_end = [i % k == k - 1 for i in range(n)]
 
     def leads(i: int, digit: int) -> bool:
-        """Whether no image is smaller than the grid once digit completes
-        position i's column; records the images still tied."""
+        """Whether sigma's image is not smaller than the grid once digit
+        completes position i's column; records its labels while tied."""
         vals[order[i]] = digit
         col = i // k
-        still = []
-        for src, labels in tied[col]:
-            labels = labels.copy()
+        seen = labels[col]
+        if seen is not None:
+            seen = seen.copy()
             for p in range(i + 1 - k, i + 1):
-                h = labels.setdefault(vals[src[p]], len(labels))
+                h = seen.setdefault(vals[sigma[p]], len(seen))
                 g = vals[order[p]]
                 if h != g:
                     if h < g:
                         return False
-                    break  # the image is larger, whatever follows
-            else:
-                still.append((src, labels))
-        tied[col + 1] = still
+                    seen = None  # the image is larger, whatever follows
+                    break
+        labels[col + 1] = seen
         return True
 
     solutions: list[tuple[int, ...]] = []
@@ -463,13 +462,14 @@ def enumerate_l_arrays(cfg: SearchConfig,
         forms, workers = -(-cfg.limit // orbit), 1
     leaders, nodes, complete = _run_shards(k, workers, forms, deadline)
     if complete:
-        # every normal form: each leader and its distinct partners
-        lex = _lex_maps(k)
+        # every normal form: each leader and its partner, when distinct
+        sigma = _sigma_map(k)
         canon_flats = []
         for flat in leaders:
             canon_flats.append(flat)
-            canon_flats.extend({_image_form(k, flat, src) for src in lex}
-                               - {flat})
+            partner = _sigma_form(k, flat, sigma)
+            if partner != flat:
+                canon_flats.append(partner)
     elif len(leaders) == forms:
         # the limit cut the search: each leader is a whole orbit, enough
         canon_flats = leaders
@@ -494,8 +494,11 @@ def enumerate_l_arrays(cfg: SearchConfig,
     raw_count = kept * orbit
     out_flats = _orbit_reps(k, seeds, cfg.symmetry)
     if cfg.limit is not None:
-        complete = complete and raw_count <= cfg.limit
-        raw_count = min(cfg.limit, raw_count)
+        # the limit cuts the output: raw grids, or representatives under a
+        # quotient
+        complete = complete and len(out_flats) <= cfg.limit
+        if not complete:
+            raw_count = min(cfg.limit, raw_count)
         out_flats = out_flats[:cfg.limit]
     orbits = len(out_flats) if complete else None
 

@@ -286,9 +286,10 @@ class TestEnumerate:
         assert report["raw_count"] == 2
         assert len(out.strip().split("\n\n")) == 2
 
-    @pytest.mark.parametrize("k,limit", [(2, None), (3, 60), (4, 3)])
+    @pytest.mark.parametrize("k,limit", [(2, None), (3, 2000), (4, 3)])
     def test_text_format_is_to_text(self, capsys, k, limit):
-        # rows are cached at k <= 3 and formatted each time at k = 4
+        # 256 grids go to each write call: 2 000 k=3 grids cross several
+        # call boundaries
         argv = ["enumerate", "--k", str(k)]
         if limit is not None:
             argv += ["--limit", str(limit)]

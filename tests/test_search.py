@@ -511,8 +511,8 @@ class TestDeterminismAndSharding:
 
     def test_shard_states_are_kernel_states(self):
         # the kernel run to depth 7: 17 states, each a consistent partial
-        # normal form, where enumerating normal-form prefixes gave 41, 16 of
-        # them clashing at once
+        # normal form; the 25 clash-free prefixes less the 8 that the sigma
+        # lex-leader check rejects when the second column is complete
         states, nodes, finished = search._shard_prefixes(3, 2)
         assert finished and len(states) == 17 and nodes > 0
         assert states == sorted(set(states))
@@ -628,10 +628,10 @@ class TestK3:
         assert set(leaders) | set(partners) == forms
         # each leader is the column-major lesser of its sigma pair, and
         # the run's partner is that normal form
-        src, = search._lex_maps(3)
+        src = search._sigma_map(3)
         for g, p in zip(leaders, partners):
             assert column_major(g) <= column_major(p)
-            assert search._image_form(3, g.cells, src) == p.cells
+            assert search._sigma_form(3, g.cells, src) == p.cells
 
     def test_sigma_maps_the_output_onto_itself(self, k3_enumerated):
         sols, _ = k3_enumerated
@@ -647,6 +647,15 @@ class TestK3:
         sols, report = enumerate_l_arrays(SearchConfig(k=3, limit=K3_RAW))
         assert sols == k3_enumerated[0]
         assert report.complete and report.orbit_count == K3_RAW
+        # under a quotient the limit cuts representatives: all 7 344 fit,
+        # so the run is complete and counts every raw grid
+        reps, report = enumerate_l_arrays(
+            SearchConfig(k=3, symmetry="translations", limit=110_000))
+        assert len(reps) == K3_TRANSLATION_ORBITS
+        assert [g.cells for g in reps] == sorted(g.cells for g in reps)
+        assert set(reps) <= set(k3_enumerated[0])
+        assert report.complete and report.orbit_count == K3_TRANSLATION_ORBITS
+        assert report.raw_count == K3_RAW
 
     def test_sample_validity(self, k3_enumerated):
         sols, _ = k3_enumerated
