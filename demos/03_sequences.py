@@ -18,7 +18,7 @@ Three independent counters cross-check each other:
 """
 
 from debruijn_arrays import (BudgetError, count_best, count_brute,
-                             count_formula, format_word, generate_sequence,
+                             count_formula, generate_sequence,
                              verify_sequence)
 
 
@@ -27,7 +27,7 @@ def main() -> None:
         for method in ("euler", "greedy"):
             word = generate_sequence(k, n, method=method)
             report = verify_sequence(word, k, n)
-            print(f"(k={k}, n={n}) {method:6s}: {format_word(word, k)} "
+            print(f"(k={k}, n={n}) {method:6s}: {word} "
                   f"valid={report.valid}")
         print()
 

@@ -5,11 +5,11 @@ from .construct import (check_column_relation, check_diagonal_relation,
                         construct_l_array)
 from .errors import (BudgetError, DimensionError, DomainError, GridParseError,
                      InconsistencyError)
-from .grid import DigitGrid, relabel, translate
+from .grid import DigitGrid, format_word, parse_word, relabel, translate
 from .search import (SearchConfig, SearchReport, brute_filter, canonicalize,
                      enumerate_l_arrays, orbit_count)
-from .sequences import (count_best, count_brute, count_formula, format_word,
-                        generate_sequence, parse_word)
+from .sequences import (count_best, count_brute, count_formula,
+                        generate_sequence)
 from .verify import VerifyReport, verify_l_array, verify_sequence, verify_torus
 
 __all__ = [

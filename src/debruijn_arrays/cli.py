@@ -23,7 +23,7 @@ from .errors import (BudgetError, DomainError, GridParseError,
 from .grid import DigitGrid, parse_grid_json, parse_grid_text
 from .search import SYMMETRIES, SearchConfig, enumerate_l_arrays
 from .sequences import (count_best, count_brute, count_formula,
-                        generate_sequence, parse_word)
+                        generate_sequence)
 from .verify import verify_l_array, verify_sequence, verify_torus
 
 EXIT_OK = 0
@@ -151,8 +151,7 @@ def _run_verify(args) -> int:
 
     try:
         if kind == "sequence":
-            report = verify_sequence(parse_word(text, args.k), args.k,
-                                     int(shape[1]))
+            report = verify_sequence(text, args.k, int(shape[1]))
         else:
             parse = parse_grid_json if args.format == "json" else parse_grid_text
             k_in, rows = parse(text)
@@ -196,15 +195,18 @@ def _run_count(args) -> int:
     return EXIT_OK
 
 
-def _write_text(grids) -> None:
-    """Write each grid's to_text, with a blank line between grids.  A write
-    call per grid costs more than formatting it, so 256 grids go to each
-    call; the whole output is never built, and at k=6 a batch stays near
-    100 kB."""
+def _write_grids(grids, fmt: str) -> None:
+    """Write the grids as each one's to_text with a blank line between
+    grids, or as one JSON array of each one's to_json.  A write call per
+    grid costs more than formatting it, so 256 grids go to each call; the
+    whole output is never built, and at k=6 a batch stays near 100 kB."""
+    each, sep, head, tail = ((DigitGrid.to_json, ", ", "[", "]\n") if fmt == "json"
+                             else (DigitGrid.to_text, "\n", "", ""))
     write = sys.stdout.write
+    write(head)
     for a in range(0, len(grids), 256):
-        write(("\n" if a else "")
-              + "\n".join([g.to_text() for g in grids[a:a + 256]]))
+        write((sep if a else "") + sep.join([each(g) for g in grids[a:a + 256]]))
+    write(tail)
 
 
 def _run_enumerate(args) -> int:
@@ -219,10 +221,7 @@ def _run_enumerate(args) -> int:
         return EXIT_USAGE
     with report_out as report_fh:
         solutions, report = enumerate_l_arrays(cfg, workers=args.workers)
-        if args.format == "json":
-            print("[" + ", ".join(g.to_json() for g in solutions) + "]")
-        else:
-            _write_text(solutions)
+        _write_grids(solutions, args.format)
         print(json.dumps(report.to_json_dict(), separators=(", ", ": ")),
               file=report_fh)
     return EXIT_OK if report.complete else EXIT_TRUNCATED

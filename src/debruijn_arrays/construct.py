@@ -12,8 +12,8 @@ are exposed here as checkable relations on a constructed grid:
 
 from __future__ import annotations
 
-from .errors import BudgetError, DomainError
-from .grid import DigitGrid
+from .errors import BudgetError
+from .grid import DigitGrid, check_sizes
 
 # Cells of the largest grid construct_l_array builds: k^3 <= 2^21 admits
 # k <= 128 (about 50 MB in memory), and refuses larger grids before any
@@ -23,8 +23,7 @@ MAX_CONSTRUCT_CELLS = 1 << 21
 
 def construct_l_array(k: int) -> DigitGrid:
     """Build the k x k^2 grid with entry (s + r*c) mod k at row r, column s*k + c."""
-    if k < 2:
-        raise DomainError(f"alphabet size must be >= 2, got {k}")
+    check_sizes(k)
     if k ** 3 > MAX_CONSTRUCT_CELLS:
         raise BudgetError(f"the k={k} grid has {k ** 3} cells, over the "
                           f"limit of {MAX_CONSTRUCT_CELLS}")

@@ -1,4 +1,6 @@
-"""Toroidal k x k^2 digit grids with row/square/column coordinates.
+"""Toroidal k x k^2 digit grids, and the input rules every module shares:
+sizes (check_sizes, capped_power), digit rows (check_digit_rows), and the
+grid and word formats (format_word, parse_word).
 
 A grid has k rows and k^2 columns, with both pairs of opposite edges glued.
 A flat column index j splits as j = s*k + c: square s, column-in-square c.
@@ -16,27 +18,78 @@ from typing import Iterable, Sequence
 from .errors import DomainError, GridParseError
 
 
+def check_sizes(k, **sizes) -> None:
+    """Refuse an alphabet size k that is not an int >= 2, and each named
+    size that is not an int >= 1.  A bool is an int, but no size; a float
+    or a str is refused too."""
+    if type(k) is not int or k < 2:
+        raise DomainError(f"alphabet size k must be an int >= 2, got {k!r}")
+    for name, size in sizes.items():
+        if type(size) is not int or size < 1:
+            raise DomainError(f"{name} must be an int >= 1, got {size!r}")
+
+
+def capped_power(k: int, e: int, cap: int) -> int:
+    """k**e, or cap + 1 once k**e passes cap.  k >= 2, so k**e >= 2**e: an
+    exponent past cap.bit_length() passes cap, and k**e is not built."""
+    return cap + 1 if e > cap.bit_length() else min(k ** e, cap + 1)
+
+
+def check_digit_rows(rows: Iterable[Iterable[int]],
+                     k: int) -> tuple[int, int, tuple[int, ...]]:
+    """(R, C, row-major cells) of a rectangle of digits with at least one
+    row.  A ragged row, or an entry that is not an int in 0..k-1 (a bool is
+    an int, but it does not serialize as a digit), raises DomainError."""
+    grid = [tuple(row) for row in rows]
+    if not grid:
+        raise DomainError("empty grid")
+    C = len(grid[0])
+    for r, row in enumerate(grid):
+        if len(row) != C:
+            raise DomainError(f"ragged grid: row {r} has {len(row)} entries, "
+                              f"expected {C}")
+        for j, e in enumerate(row):
+            if type(e) is not int or not 0 <= e < k:
+                raise DomainError(f"entry {e!r} at ({r}, {j}) not in 0..{k - 1}")
+    return len(grid), C, tuple(chain.from_iterable(grid))
+
+
+def format_word(digits: Iterable[int], k: int) -> str:
+    """A word as text: a digit string for k <= 10, else its digits as
+    decimal numbers separated by spaces."""
+    check_sizes(k)
+    return ("" if k <= 10 else " ").join(map(str, digits))
+
+
+def parse_word(text: str, k: int) -> list[int]:
+    """The digits of a word in format_word's form: a string of decimal
+    digits for k <= 10, decimal numbers separated by whitespace for k > 10.
+    Surrounding whitespace is ignored.  Any other character or token, or a
+    digit of k or more, raises DomainError with its position."""
+    check_sizes(k)
+    word = text.strip()
+    digits = []
+    for i, tok in enumerate(word if k <= 10 else word.split()):
+        d = int(tok) if tok.isascii() and tok.isdigit() else k
+        if d >= k:
+            raise DomainError(f"{tok!r} at position {i} is not a digit "
+                              f"in 0..{k - 1}")
+        digits.append(d)
+    return digits
+
+
 class DigitGrid:
     """Immutable toroidal k x k^2 grid of digits in {0..k-1}."""
 
     __slots__ = ("k", "cells")
 
     def __init__(self, k: int, rows: Iterable[Iterable[int]]):
-        if type(k) is not int or k < 2:
-            raise DomainError(f"alphabet size must be an int >= 2, got {k!r}")
-        frozen = tuple(tuple(row) for row in rows)
-        if len(frozen) != k:
-            raise DomainError(f"expected {k} rows, got {len(frozen)}")
-        width = k * k
-        for r, row in enumerate(frozen):
-            if len(row) != width:
-                raise DomainError(f"row {r} has {len(row)} entries, expected {width}")
-            for j, e in enumerate(row):
-                # a bool is an int, but it does not serialize as a digit
-                if type(e) is not int or not 0 <= e < k:
-                    raise DomainError(f"entry {e!r} at ({r}, {j}) not in 0..{k - 1}")
+        check_sizes(k)
+        R, C, cells = check_digit_rows(rows, k)
+        if (R, C) != (k, k * k):
+            raise DomainError(f"expected {k} rows of {k * k} entries, got {R} x {C}")
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "cells", tuple(chain.from_iterable(frozen)))
+        object.__setattr__(self, "cells", cells)
 
     def __setattr__(self, name, value):
         raise AttributeError("DigitGrid is immutable")
@@ -145,18 +198,14 @@ def parse_grid_json(text: str) -> tuple[int, list[list[int]]]:
     if not isinstance(obj, dict) or "k" not in obj or "rows" not in obj:
         raise GridParseError('expected a JSON object with "k" and "rows"')
     k, rows = obj["k"], obj["rows"]
-    # JSON true/false load as bool, a subclass of int: refuse them for k
-    # and for every entry
+    # JSON true/false load as bool, a subclass of int: refuse them for k;
+    # the digit rule refuses them as entries
     if not isinstance(k, int) or isinstance(k, bool):
         raise GridParseError(f'"k" must be an integer, got {k!r}')
     if (not isinstance(rows, list)
             or not all(isinstance(row, list) for row in rows)):
         raise GridParseError('"rows" must be an array of arrays')
-    for r, row in enumerate(rows):
-        for j, e in enumerate(row):
-            if isinstance(e, bool):
-                raise GridParseError(f"entry {e!r} at ({r}, {j}) is not a digit")
-    return k, [list(row) for row in rows]
+    return k, rows
 
 
 def translate(g: DigitGrid, dr: int, dj: int) -> DigitGrid:

@@ -48,16 +48,16 @@ order, so the output and the node count are identical for any worker count.
 from __future__ import annotations
 
 import os
+import sys
 import time
 from dataclasses import dataclass
 from itertools import permutations, product
-from math import isfinite
 from operator import itemgetter
 from typing import Iterable, Optional
 
 from .construct import construct_l_array
 from .errors import BudgetError, DomainError, InconsistencyError
-from .grid import DigitGrid
+from .grid import DigitGrid, check_sizes
 from .verify import verify_l_array
 
 SYMMETRIES = ("none", "translations", "translations+relabel")
@@ -79,18 +79,17 @@ class SearchConfig:
     time_budget: Optional[float] = None  # seconds
 
     def __post_init__(self):
-        # bool is a subclass of int, but no count or duration
-        if type(self.k) is not int or self.k < 2:
-            raise DomainError(f"alphabet size must be an int >= 2, got {self.k!r}")
+        limit = {} if self.limit is None else {"limit": self.limit}
+        check_sizes(self.k, **limit)
         if self.symmetry not in SYMMETRIES:
             raise DomainError(f"unknown symmetry {self.symmetry!r}")
-        if self.limit is not None and (type(self.limit) is not int
-                                       or self.limit <= 0):
-            raise DomainError(f"limit must be a positive int, got {self.limit!r}")
+        # bool is a subclass of int, but no duration; an int past the
+        # float range cannot be added to a clock reading
         if self.time_budget is not None and (
-                isinstance(self.time_budget, bool)
-                or not (isfinite(self.time_budget) and self.time_budget > 0)):
-            raise DomainError("time budget must be a positive finite number")
+                type(self.time_budget) not in (int, float)
+                or not 0 < self.time_budget <= sys.float_info.max):
+            raise DomainError(f"time_budget must be a positive finite number, "
+                              f"got {self.time_budget!r}")
 
 
 @dataclass
@@ -432,8 +431,7 @@ def enumerate_l_arrays(cfg: SearchConfig,
     and InconsistencyError when a grid it would expand fails verification.
     Starts at most os.cpu_count() processes, whatever `workers` asks.
     """
-    if workers < 1:
-        raise DomainError(f"workers must be at least 1, got {workers}")
+    check_sizes(cfg.k, workers=workers)
     workers = min(workers, os.cpu_count() or 1)
     start = time.monotonic()
     deadline = start + cfg.time_budget if cfg.time_budget is not None else None
@@ -514,6 +512,7 @@ def brute_filter(k: int) -> tuple[list[DigitGrid], SearchReport]:
 
     Only k=2 (2^8 = 256 grids) is within budget; k=3 would be 3^27 grids.
     """
+    check_sizes(k)
     if k != 2:
         raise BudgetError(f"brute filter supports k=2 only (k={k} is 3^27+ grids)")
     start = time.monotonic()

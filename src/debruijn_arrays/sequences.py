@@ -16,6 +16,7 @@ from itertools import product
 from math import factorial, inf, lgamma, log, log10
 
 from .errors import BudgetError, DomainError
+from .grid import capped_power, check_sizes, format_word
 from .verify import verify_sequence
 
 # Hard budgets for the two expensive counters.
@@ -35,16 +36,11 @@ def generate_sequence(k: int, n: int, method: str = "euler") -> str:
 
     method="euler" walks an Eulerian circuit of the (n-1)-gram graph;
     method="greedy" repeatedly appends the largest digit whose window is
-    still unused, starting from the all-zero state.  Digits >= 10 are
-    rendered space-separated; below that the word is a plain digit string.
+    still unused, starting from the all-zero state.  The word is written
+    by format_word.
     """
-    if k < 2:
-        raise DomainError(f"alphabet size must be >= 2, got {k}")
-    if n < 1:
-        raise DomainError(f"window length must be >= 1, got {n}")
-    # k >= 2, so capping the exponent keeps the test exact without building
-    # a huge k^n
-    if k ** min(n, MAX_WORD_LEN.bit_length()) > MAX_WORD_LEN:
+    check_sizes(k, n=n)
+    if capped_power(k, n, MAX_WORD_LEN) > MAX_WORD_LEN:
         raise BudgetError(f"the (k={k}, n={n}) word has {k}^{n} digits, over "
                           f"the limit of {MAX_WORD_LEN}")
     if method == "euler":
@@ -54,19 +50,6 @@ def generate_sequence(k: int, n: int, method: str = "euler") -> str:
     else:
         raise DomainError(f"unknown method {method!r}")
     return format_word(digits, k)
-
-
-def format_word(digits: list[int], k: int) -> str:
-    if k <= 10:
-        return "".join(str(d) for d in digits)
-    return " ".join(str(d) for d in digits)
-
-
-def parse_word(text: str, k: int) -> list[int]:
-    text = text.strip()
-    if k <= 10:
-        return [int(ch) for ch in text.replace(" ", "")]
-    return [int(tok) for tok in text.split()]
 
 
 def _euler_digits(k: int, n: int) -> list[int]:
@@ -136,10 +119,7 @@ def _check_count_args(k: int, n: int) -> None:
     """Refuse a (k, n) outside the domain, or whose count k!^(k^(n-1)) / k^n
     has more than MAX_COUNT_DIGITS decimal digits, judged from logarithms
     before any power is built."""
-    if k < 2:
-        raise DomainError(f"alphabet size must be >= 2, got {k}")
-    if n < 1:
-        raise DomainError(f"window length must be >= 1, got {n}")
+    check_sizes(k, n=n)
     try:
         log10_count = (float(k) ** (n - 1) * lgamma(k + 1) / log(10)
                        - n * log10(k))
@@ -158,12 +138,10 @@ def count_brute(k: int, n: int) -> int:
     pass count divides exactly by k^n.
     """
     _check_count_args(k, n)
-    # k^n > n for k >= 2, so capping the exponent at the budget keeps the
-    # word-length test exact without building a huge k^n
-    if (k ** min(n, BRUTE_MAX_WORD_LEN) > BRUTE_MAX_WORD_LEN
-            or k ** k ** n > BRUTE_MAX_WORDS):
+    length = capped_power(k, n, BRUTE_MAX_WORD_LEN)
+    if (length > BRUTE_MAX_WORD_LEN
+            or capped_power(k, length, BRUTE_MAX_WORDS) > BRUTE_MAX_WORDS):
         raise BudgetError(f"(k={k}, n={n}) exceeds the brute-force budget")
-    length = k ** n
     hits = 0
     for word in product(range(k), repeat=length):
         if verify_sequence(word, k, n).valid:
@@ -183,12 +161,11 @@ def count_best(k: int, n: int) -> int:
     counts cyclic de Bruijn classes, so no extra normalization factor.
     """
     _check_count_args(k, n)
-    # refuse before the k^(n-1)-node Laplacian is built; k >= 2, so capping
-    # the exponent at the budget keeps the comparison exact and cheap
-    if k ** min(n - 1, BEST_MAX_NODES) > BEST_MAX_NODES:
+    # refuse before the k^(n-1)-node Laplacian is built
+    m = capped_power(k, n - 1, BEST_MAX_NODES)
+    if m > BEST_MAX_NODES:
         raise BudgetError(f"(k={k}, n={n}) needs a {k}^{n - 1}-node Laplacian, "
                           f"budget is {BEST_MAX_NODES}")
-    m = k ** (n - 1)
     # out-degree Laplacian of the graph _euler_digits walks: node u's edge on
     # digit d leads to (u*k + d) mod m.  The graph is Eulerian, so any
     # principal minor counts the spanning arborescences.

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Sequence, Union
 
-from .errors import DimensionError, DomainError
-from .grid import DigitGrid
+from .errors import DimensionError
+from .grid import (DigitGrid, capped_power, check_digit_rows, check_sizes,
+                   parse_word)
 
 _L_WINDOW = ((0, 0), (1, 0), (1, 1))
 
@@ -78,16 +79,6 @@ def _check_windows(cells: Sequence[int], R: int, C: int, k: int,
                         positions_checked=R * C)
 
 
-def _check_sizes(k, *dims) -> None:
-    """Refuse an alphabet size below 2 or a window dimension below 1; each
-    must be an int, not a bool or a float."""
-    if type(k) is not int or k < 2:
-        raise DomainError(f"alphabet size must be an int >= 2, got {k!r}")
-    for d in dims:
-        if type(d) is not int or d < 1:
-            raise DomainError(f"window dimensions must be ints >= 1, got {d!r}")
-
-
 def verify_l_array(g: DigitGrid) -> VerifyReport:
     """Check that the k^3 L windows of g realize every filling exactly once."""
     return _check_windows(g.cells, g.k, g.k * g.k, g.k, _L_WINDOW)
@@ -100,40 +91,23 @@ def verify_torus(rows: Sequence[Sequence[int]], k: int, m: int, n: int) -> Verif
     k**(m*n) possible m x n fillings must appear exactly once among the
     R*C sliding windows.
     """
-    _check_sizes(k, m, n)
-    grid = [list(row) for row in rows]
-    R = len(grid)
-    if R == 0:
-        raise DomainError("empty grid")
-    C = len(grid[0])
-    for i, row in enumerate(grid):
-        if len(row) != C:
-            raise DomainError(f"ragged grid: row {i} has {len(row)} entries, expected {C}")
-        for j, e in enumerate(row):
-            if type(e) is not int or not 0 <= e < k:  # a bool is no digit
-                raise DomainError(f"entry {e!r} at ({i}, {j}) not in 0..{k - 1}")
-    # k^e >= 2^e: an exponent past the cell count's bit length cannot match,
-    # and k^e is not built for it
-    if m * n > (R * C).bit_length() or k ** (m * n) != R * C:
+    check_sizes(k, m=m, n=n)
+    R, C, cells = check_digit_rows(rows, k)
+    if capped_power(k, m * n, R * C) != R * C:
         raise DimensionError(f"{R}x{C} grid has {R * C} cells; a "
                              f"(k={k}, {m}x{n}) torus needs {k}^{m * n}")
-    cells = [v for row in grid for v in row]
     offsets = [(di, dj) for di in range(m) for dj in range(n)]
     return _check_windows(cells, R, C, k, offsets,
                           lambda f: tuple(f[i * n:(i + 1) * n] for i in range(m)))
 
 
 def verify_sequence(word: Union[str, Sequence[int]], k: int, n: int) -> VerifyReport:
-    """Check that a cyclic word of length k^n contains every n-gram exactly once."""
-    _check_sizes(k, n)
-    # a character that is no decimal digit stays as it is, and is refused
-    # below with its position
-    digits = ([int(ch) if ch.isdecimal() else ch for ch in word]
-              if isinstance(word, str) else list(word))
-    for i, d in enumerate(digits):
-        if type(d) is not int or not 0 <= d < k:  # no bools or floats
-            raise DomainError(f"digit {d!r} at position {i} not in 0..{k - 1}")
-    if n > len(digits).bit_length() or k ** n != len(digits):  # see verify_torus
+    """Check that a cyclic word of length k^n contains every n-gram exactly
+    once; a str word is read by parse_word."""
+    check_sizes(k, n=n)
+    digits = (parse_word(word, k) if isinstance(word, str)
+              else check_digit_rows([word], k)[2])
+    if capped_power(k, n, len(digits)) != len(digits):
         raise DimensionError(
             f"word length {len(digits)} != k^n = {k}^{n} for (k={k}, n={n})")
     return _check_windows(digits, 1, len(digits), k, [(0, t) for t in range(n)])

@@ -443,6 +443,13 @@ GOLDEN = [
         marks=pytest.mark.slow),
     ("--k 4 --limit 3 --symmetry translations+relabel",
      "e957344e45d6daee05b3538a19931c96797a2b5025a1225c0067798914c4defa"),
+    # the JSON array is written in batches, like the text
+    pytest.param(
+        "--k 3 --format json",
+        "15cef1e325a90d6292acb4538a88e5b14006314c807e5099d29eb585eb829314",
+        marks=pytest.mark.slow),
+    ("--k 4 --limit 3 --symmetry translations+relabel --format json",
+     "4908b27b0dfe6439bf3c1c95fa564b6d763638f4494eabb9a0ce2a5424a2f0b9"),
 ]
 
 

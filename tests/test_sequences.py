@@ -4,10 +4,10 @@ import pytest
 
 from debruijn_arrays import sequences
 from debruijn_arrays.errors import BudgetError, DomainError
+from debruijn_arrays.grid import format_word, parse_word
 from debruijn_arrays.sequences import (bareiss_determinant, count_best,
                                        count_brute, count_formula,
-                                       format_word, generate_sequence,
-                                       parse_word)
+                                       generate_sequence)
 from debruijn_arrays.verify import verify_sequence
 
 # brute-force ground truth, computed by enumerating all k^(k^n) words and
